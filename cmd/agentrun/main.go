@@ -195,17 +195,26 @@ func main() {
 
 	// -pool N takes the session world from a warm pool instead of
 	// booting it: the same spec, but the handout is a pool hit (or an
-	// inline COW fork on a miss) and the pool's hit/miss/size/refill
-	// gauges land in the -stats counters. agentrun runs one session, so
-	// the leftover warm clones are torn down as soon as one is taken.
+	// inline COW fork on a miss) of a bare template booted here, and the
+	// pool's hit/miss/size/refill gauges land in the -stats counters.
+	// agentrun runs one session, so the leftover warm clones and the
+	// template are torn down as soon as one is taken; the session world
+	// owns its forked filesystem and outlives both.
 	var err error
 	if *poolSize > 0 {
-		pool, perr := world.NewPool(spec, *poolSize)
+		tmpl, terr := world.Boot(world.Spec{Name: "template", Register: spec.Register, Setup: spec.Setup})
+		if terr != nil {
+			fatal(terr)
+		}
+		pool, perr := world.NewPoolFrom(tmpl, spec, *poolSize)
 		if perr != nil {
 			fatal(perr)
 		}
 		w, err = pool.Acquire()
 		if cerr := pool.Close(); err == nil && cerr != nil {
+			err = cerr
+		}
+		if cerr := tmpl.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
 	} else {

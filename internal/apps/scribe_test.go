@@ -1,6 +1,9 @@
 package apps
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,6 +128,41 @@ func TestGenDissertationDeterministic(t *testing.T) {
 	c2, _ := k2.ReadFile("/doc/chapter01.mss")
 	if string(d1) != string(d2) || string(c1) != string(c2) {
 		t.Fatal("workload generation not deterministic")
+	}
+}
+
+// TestGenDissertationGolden pins the generated manuscript byte for byte
+// at the size the benchmark fixtures use (8 chapters × 4 sections × 6
+// paragraphs): a digest over every file GenDissertation writes, in
+// order. Expected outputs elsewhere (scribe pages, wc counts in the
+// perfbench reference) derive from these bytes, so a generator rewrite
+// must reproduce them exactly.
+func TestGenDissertationGolden(t *testing.T) {
+	k, err := NewWorld()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chapters = 8
+	main, err := GenDissertation(k, "/doc", chapters, 4, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for ch := 1; ch <= chapters; ch++ {
+		files = append(files, fmt.Sprintf("/doc/chapter%02d.mss", ch))
+	}
+	h := sha256.New()
+	for _, f := range append(files, main) {
+		data, err := k.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s\x00%d\x00", f, len(data))
+		h.Write(data)
+	}
+	const golden = "b775a1ca932b197cfbcde86f3c5be56484f7832407dc61aa61d3a48715b1a4b8"
+	if got := hex.EncodeToString(h.Sum(nil)); got != golden {
+		t.Fatalf("/doc tree digest %s, want %s", got, golden)
 	}
 }
 

@@ -147,9 +147,14 @@ func RunPoolTable(runs int) ([]PoolRow, error) {
 	// Acquire-hit: drain a pre-warmed pool exactly once per round. The
 	// warm stack starts at poolAcquires members and acquires only pop,
 	// so every timed acquire is a hit regardless of how far the
-	// background refiller gets.
+	// background refiller gets. Every round's pool forks one template.
+	tmpl, err := world.Boot(apps.Spec())
+	if err != nil {
+		return nil, fmt.Errorf("pool table: template: %w", err)
+	}
+	defer tmpl.Close()
 	acquireRound := func() (time.Duration, error) {
-		p, err := world.NewPool(apps.Spec(), poolAcquires)
+		p, err := world.NewPoolFrom(tmpl, apps.Spec(), poolAcquires)
 		if err != nil {
 			return 0, fmt.Errorf("pool table: pool: %w", err)
 		}

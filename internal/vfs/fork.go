@@ -95,7 +95,7 @@ func (fs *FS) Fork(clock func() time.Time, resolve func(rdev uint32) (Device, bo
 			if len(ip.data) > 0 {
 				refs := ip.dataRefs.Load()
 				if refs == nil {
-					nr := &atomic.Int32{}
+					nr := &atomic.Int64{}
 					nr.Store(1)
 					// CAS arbitrates concurrent forks; a mutator cannot
 					// intervene (it needs the write lock we read-hold).

@@ -358,7 +358,7 @@ func TestForkChainRefcounts(t *testing.T) {
 		if _, werr := f.WriteAt([]byte{1}, 0, 0); werr != sys.OK {
 			t.Fatal(werr)
 		}
-		if n := refs.Load(); n != int32(2-i) {
+		if n := refs.Load(); n != int64(2-i) {
 			t.Fatalf("refcount after %d copy-outs = %d, want %d", i+1, n, 2-i)
 		}
 	}

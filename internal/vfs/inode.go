@@ -49,7 +49,11 @@ type Inode struct {
 	// (unshareData). Installed by Fork under this inode's read lock via
 	// CAS, cleared by mutators under the write lock — so a writer never
 	// races a fork of the same inode, and unrelated inodes never contend.
-	dataRefs atomic.Pointer[atomic.Int32]
+	// A filesystem dropped without writing never decrements, so the
+	// count only bounds the holders from above; it is 64-bit so that a
+	// long-lived template forked billions of times cannot wrap it to a
+	// value that lets a child write through the shared array.
+	dataRefs atomic.Pointer[atomic.Int64]
 
 	// Directories: lookup map plus stable insertion order for iteration.
 	entries map[string]*Inode

@@ -11,16 +11,18 @@ import (
 
 // Pool keeps N pre-warmed copy-on-write clones of one template world so
 // that acquiring a session world is a stack pop, not a boot. The
-// template is booted once — image registry, program installs, Setup
-// hooks — and every member is a Fork of it; the boot cost is paid off
-// the request path, by NewPool and by the asynchronous refiller.
+// template is the caller's: a booted world (typically bare — Register
+// and Setup only) that every member is a Fork of, and that several
+// pools may share. The pool never closes it; the caller closes the
+// template after every pool built on it. The fork cost is paid off the
+// request path, by NewPoolFrom and by the asynchronous refiller.
 //
 // Handout is LIFO: the most recently forked member is the one whose
 // inode structs and dentry paths are most likely still cache-warm.
 // Members are consumed, not returned — a used world carries tenant
 // state, and a fresh fork is cheaper than any scrub would be. Close the
 // acquired world as usual when the session ends; Close the pool to tear
-// down the warm stack and the template.
+// down the warm stack.
 //
 // Acquire on an empty pool forks inline (a miss): still far cheaper
 // than a boot, since the template's filesystem is shared copy-on-write.
@@ -30,6 +32,7 @@ type Pool struct {
 	spec     Spec
 	target   int
 	template *World
+	owned    *World // template booted by NewPool, closed by Close; nil otherwise
 
 	mu        sync.Mutex
 	warm      []*World // LIFO: acquire pops, refill pushes
@@ -56,17 +59,17 @@ type PoolStats struct {
 	RefillNs int64 `json:"refill_ns"`
 }
 
-// NewPool boots the template from spec and pre-warms target members
-// synchronously, so the first Acquire already hits. spec is the MEMBER
-// spec: every acquired world gets its declared facilities (telemetry,
-// tracer, journal, agents). The template itself boots bare — Register
-// and Setup only — since it never runs sessions.
+// NewPoolFrom pre-warms target forks of template synchronously, so the
+// first Acquire already hits. spec is the MEMBER spec: every acquired
+// world gets its declared facilities (telemetry, tracer, journal,
+// agents). The template must stay open, and quiesced, for the pool's
+// lifetime — members fork from it on every refill and miss.
 //
 // Restore specs are refused (a pool's members come from the template,
 // not a checkpoint), as are file-backed journals: one journal file
 // backs one live world, which is irreconcilable with N identical
 // members. JournalMem is fine — each member gets its own store.
-func NewPool(spec Spec, target int) (*Pool, error) {
+func NewPoolFrom(template *World, spec Spec, target int) (*Pool, error) {
 	if target < 1 {
 		return nil, fmt.Errorf("world: pool %q: target %d, want >= 1", spec.Name, target)
 	}
@@ -76,17 +79,9 @@ func NewPool(spec Spec, target int) (*Pool, error) {
 	if spec.JournalPath != "" {
 		return nil, fmt.Errorf("world: pool %q: file journals are per-world; pooled members must use journal_mem", spec.Name)
 	}
-	tmpl, err := Boot(Spec{
-		Name:     spec.Name + "/template",
-		Register: spec.Register,
-		Setup:    spec.Setup,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("world: pool %q: template: %w", spec.Name, err)
-	}
-	p := &Pool{spec: spec, target: target, template: tmpl}
+	p := &Pool{spec: spec, target: target, template: template}
 	for i := 0; i < target; i++ {
-		w, err := Fork(tmpl, spec)
+		w, err := Fork(template, spec)
 		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("world: pool %q: warm: %w", spec.Name, err)
@@ -96,8 +91,30 @@ func NewPool(spec Spec, target int) (*Pool, error) {
 	return p, nil
 }
 
-// Template returns the pool's template world (for fleet-level
-// inspection; never exec on it).
+// NewPool boots a bare template from spec (Register and Setup only) and
+// pools forks of it; unlike NewPoolFrom, Close also closes that
+// template. Callers that host more than one pool, or also fork worlds
+// of their own, boot one template and use NewPoolFrom instead.
+func NewPool(spec Spec, target int) (*Pool, error) {
+	tmpl, err := Boot(Spec{
+		Name:     spec.Name + "/template",
+		Register: spec.Register,
+		Setup:    spec.Setup,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("world: pool %q: template: %w", spec.Name, err)
+	}
+	p, err := NewPoolFrom(tmpl, spec, target)
+	if err != nil {
+		tmpl.Close()
+		return nil, err
+	}
+	p.owned = tmpl
+	return p, nil
+}
+
+// Template returns the world the pool forks its members from (for
+// fleet-level inspection; never exec on it).
 func (p *Pool) Template() *World { return p.template }
 
 // Acquire hands out a warm world (LIFO), or forks one inline when the
@@ -210,11 +227,12 @@ func (p *Pool) Gauges() []telemetry.NamedCounter {
 	}
 }
 
-// Close tears the pool down: the refiller is stopped and awaited, every
-// warm member and the template are closed. Worlds already acquired are
-// the caller's to close. The first teardown error is returned; a
-// lingering background-refill failure is surfaced if nothing else went
-// wrong.
+// Close tears the pool down: the refiller is stopped and awaited and
+// every warm member closed. The template is left open — it is the
+// caller's (NewPoolFrom) — unless NewPool booted it. Worlds already
+// acquired are the caller's to close. The first teardown error is
+// returned; a lingering background-refill failure is surfaced if
+// nothing else went wrong.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -243,8 +261,8 @@ func (p *Pool) Close() error {
 			firstErr = err
 		}
 	}
-	if p.template != nil {
-		if err := p.template.Close(); err != nil && firstErr == nil {
+	if p.owned != nil {
+		if err := p.owned.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

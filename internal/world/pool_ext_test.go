@@ -27,12 +27,26 @@ func poolSpec() world.Spec {
 	return spec
 }
 
-func TestPoolMemberIsolationAndGauges(t *testing.T) {
-	p, err := world.NewPool(poolSpec(), 2)
+// newTestPool pools target forks of a bare template booted from
+// poolSpec's Register and Setup; the template closes after the pool.
+func newTestPool(t *testing.T, target int) *world.Pool {
+	t.Helper()
+	spec := poolSpec()
+	tmpl, err := world.Boot(world.Spec{Name: "template", Register: spec.Register, Setup: spec.Setup})
+	if err != nil {
+		t.Fatalf("template: %v", err)
+	}
+	t.Cleanup(func() { tmpl.Close() })
+	p, err := world.NewPoolFrom(tmpl, spec, target)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
 	t.Cleanup(func() { p.Close() })
+	return p
+}
+
+func TestPoolMemberIsolationAndGauges(t *testing.T) {
+	p := newTestPool(t, 2)
 
 	a, err := p.Acquire()
 	if err != nil {
@@ -90,11 +104,7 @@ func TestPoolMemberIsolationAndGauges(t *testing.T) {
 }
 
 func TestPoolAcquireStorm(t *testing.T) {
-	p, err := world.NewPool(poolSpec(), 4)
-	if err != nil {
-		t.Fatalf("pool: %v", err)
-	}
-	t.Cleanup(func() { p.Close() })
+	p := newTestPool(t, 4)
 
 	const goroutines = 8
 	var wg sync.WaitGroup

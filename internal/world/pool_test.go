@@ -31,24 +31,40 @@ func tinySpec() Spec {
 	}
 }
 
+// tinyTemplate boots the bare template of tinySpec, closed when the
+// test ends (after the pools built on it, whose cleanups run first).
+func tinyTemplate(t *testing.T) *World {
+	t.Helper()
+	tmpl, err := Boot(tinySpec())
+	if err != nil {
+		t.Fatalf("template: %v", err)
+	}
+	t.Cleanup(func() { tmpl.Close() })
+	return tmpl
+}
+
 func TestPoolRejectsBadSpecs(t *testing.T) {
-	if _, err := NewPool(tinySpec(), 0); err == nil {
+	tmpl := tinyTemplate(t)
+	if _, err := NewPoolFrom(tmpl, tinySpec(), 0); err == nil {
 		t.Fatal("target 0 accepted")
 	}
 	restore := tinySpec()
 	restore.RestorePath = "/nope.ckpt"
-	if _, err := NewPool(restore, 1); err == nil {
+	if _, err := NewPoolFrom(tmpl, restore, 1); err == nil {
 		t.Fatal("restore spec accepted")
 	}
 	filed := tinySpec()
 	filed.JournalPath = "/tmp/nope.jnl"
-	if _, err := NewPool(filed, 1); err == nil {
+	if _, err := NewPoolFrom(tmpl, filed, 1); err == nil {
 		t.Fatal("file journal accepted")
+	}
+	if _, err := NewPool(filed, 1); err == nil {
+		t.Fatal("file journal accepted by NewPool")
 	}
 }
 
 func TestPoolHitLIFOAndRefill(t *testing.T) {
-	p, err := NewPool(tinySpec(), 3)
+	p, err := NewPoolFrom(tinyTemplate(t), tinySpec(), 3)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -88,7 +104,7 @@ func TestPoolHitLIFOAndRefill(t *testing.T) {
 }
 
 func TestPoolMissForksInline(t *testing.T) {
-	p, err := NewPool(tinySpec(), 1)
+	p, err := NewPoolFrom(tinyTemplate(t), tinySpec(), 1)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -118,8 +134,13 @@ func TestPoolMissForksInline(t *testing.T) {
 	}
 }
 
+// TestPoolClose: Close is idempotent and final, and it closes only what
+// the pool owns — a template handed to NewPoolFrom stays open (and
+// forkable, so several pools can share it), while the template NewPool
+// booted for itself is closed with the pool.
 func TestPoolClose(t *testing.T) {
-	p, err := NewPool(tinySpec(), 2)
+	tmpl := tinyTemplate(t)
+	p, err := NewPoolFrom(tmpl, tinySpec(), 2)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -132,6 +153,22 @@ func TestPoolClose(t *testing.T) {
 	if _, err := p.Acquire(); err == nil {
 		t.Fatal("acquire on closed pool succeeded")
 	}
+	w, err := Fork(tmpl, tinySpec())
+	if err != nil {
+		t.Fatalf("template closed by the pool it was handed to: %v", err)
+	}
+	w.Close()
+
+	own, err := NewPool(tinySpec(), 1)
+	if err != nil {
+		t.Fatalf("pool: %v", err)
+	}
+	if err := own.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if _, err := Fork(own.Template(), tinySpec()); err == nil {
+		t.Fatal("NewPool left its own template open")
+	}
 }
 
 // TestPoolCloseRefillerRace hammers Acquire from several goroutines
@@ -141,8 +178,9 @@ func TestPoolClose(t *testing.T) {
 // stops moving, and a failure from the refiller's final fork is not
 // silently dropped between Close's snapshot and its wait.
 func TestPoolCloseRefillerRace(t *testing.T) {
+	tmpl := tinyTemplate(t)
 	for round := 0; round < 25; round++ {
-		p, err := NewPool(tinySpec(), 2)
+		p, err := NewPoolFrom(tmpl, tinySpec(), 2)
 		if err != nil {
 			t.Fatalf("pool: %v", err)
 		}

@@ -11,9 +11,19 @@
 // rules: journal replay before the first program, fsck after every
 // restore or replay, injector crash hooks freezing the journal store,
 // supervisor installation, telemetry/tracer attachment. All of them are
-// now thin callers of Boot, and the multi-tenant server (internal/worldd)
-// hosts thousands of these worlds in one process, so Close must return
-// the world to nothing: no goroutines, no host descriptors, no zombies.
+// now thin callers of Boot.
+//
+// A world is built one of two ways, and both end in the same facility
+// sequence (finishBoot): Boot builds the kernel from scratch (image
+// registry, program installs, Setup hooks) or from a checkpoint; Fork
+// clones a live world copy-on-write in O(#inodes). Boot is the host-side
+// entry point (agentrun, experiments). The multi-tenant server
+// (internal/worldd) boots once — a bare base world — and hosts every
+// tenant, pool member and recovery rebuild as a Fork of it (Pool keeps
+// warm forks of a caller's template), thousands of worlds in one
+// process, so Close must return a world to nothing: no goroutines, no
+// host descriptors, no zombies — and must never disturb the parent it
+// was forked from.
 //
 // The package deliberately does not import the application set: Spec
 // carries a Register hook for the image registry and Setup hooks for
@@ -280,7 +290,8 @@ func Boot(spec Spec) (*World, error) {
 // without serializing through a checkpoint: the kernel is forked
 // copy-on-write (kernel.Fork → vfs.FS.Fork), so the cost is O(#inodes)
 // and independent of how many bytes the template's filesystem holds.
-// This is the warm-pool fast path (pool.go).
+// This is worldd's only construction path and the warm-pool fast path
+// (pool.go).
 //
 // The child gets the facilities spec declares — its own telemetry
 // registry, tracer, injector, supervisor, journal, agent stack — wired
@@ -292,7 +303,11 @@ func Boot(spec Spec) (*World, error) {
 //
 // Forking seals the parent's journal epoch first (Commit), so a journal
 // recorded by the parent replays onto the child as pure skips — the
-// child carries the parent's applied-sequence watermark.
+// child carries the parent's applied-sequence watermark. A parent that
+// never journaled (a bare template, worldd's base) is indistinguishable
+// from a fresh boot to a journal: replaying a world's journal onto a
+// fork of it recovers exactly what replaying onto a Boot would, which is
+// how worldd rebuilds a crashed tenant.
 func Fork(parent *World, spec Spec) (*World, error) {
 	if spec.RestoreFrom != nil || spec.RestorePath != "" {
 		return nil, fmt.Errorf("world: fork %q: cannot both fork and restore", spec.Name)

@@ -17,10 +17,11 @@
 // when an idle-time liveness probe succeeds with no quarantined layer
 // left. Dead is acted on: the world is condemned (world.Kill, which
 // fails new sessions fast and breaks a wedged one loose with SIGKILL),
-// torn down via world.Close (sealing its journal), and rebuilt through
-// the cheapest valid path — a warm-pool fork for pooled tenants, a
-// journal replay + fsck-gated boot otherwise — under exponential
-// backoff with deterministic jitter and a per-tenant restart budget.
+// torn down via world.Close (sealing its journal), and rebuilt the way
+// it was created (Server.build) — a warm-pool member for pooled
+// tenants, a fresh fork of the server's base otherwise, its journal
+// replayed and fsck-gated — under exponential backoff with
+// deterministic jitter and a per-tenant restart budget.
 //
 // # Signals
 //
@@ -32,7 +33,7 @@
 // path installed at adopt so an injected crash is noticed the moment it
 // fires, not a sweep later), session age against the deadline, and a
 // periodic probe run through the normal Exec path while the world is
-// idle. fsck failures surface as Boot errors on the rebuild path and
+// idle. fsck failures surface as build errors on the rebuild path and
 // consume restart budget like any other failed attempt.
 //
 // # Lock ordering
@@ -209,7 +210,7 @@ func (s *Server) rand() uint64 {
 
 // backoff returns the wait before recovery attempt n: base·2^n capped
 // at max, then jittered to [d/2, d) so simultaneous recoveries across
-// tenants do not stampede the boot path in lockstep.
+// tenants do not stampede the rebuild path in lockstep.
 func (s *Server) backoff(attempt int) time.Duration {
 	h := s.cfg.Health
 	d := h.BackoffMax
@@ -417,11 +418,11 @@ func (s *Server) startRecovery(e *entry) {
 
 // recoverLoop rebuilds one dead world: backoff (jittered, exponential),
 // budget check, teardown of the old incarnation (Kill + Close — the
-// close seals the journal), then the cheapest valid rebuild path — a
-// warm-pool acquire for pooled tenants, a journal-replaying fsck-gated
-// Boot otherwise. A failed rebuild consumes budget and retries; an
-// exhausted budget parks the tenant (terminal until DELETE). The loop
-// aborts cleanly on drain or DELETE.
+// close seals the journal), then Server.build — a warm-pool acquire for
+// pooled tenants, a fork of the base with journal replay and fsck gate
+// otherwise. A failed rebuild consumes budget and retries; an exhausted
+// budget parks the tenant (terminal until DELETE). The loop aborts
+// cleanly on drain or DELETE.
 func (s *Server) recoverLoop(e *entry) {
 	defer s.recWG.Done()
 	defer e.recovering.Store(false)
@@ -463,13 +464,7 @@ func (s *Server) recoverLoop(e *entry) {
 			old.Kill()
 			old.Close()
 		}
-		var nw *world.World
-		var err error
-		if e.pool != nil {
-			nw, err = e.pool.Acquire()
-		} else {
-			nw, err = world.Boot(e.spec)
-		}
+		nw, err := s.build(e)
 		if err != nil {
 			e.mu.Unlock()
 			s.logf("worldd: %s rebuild failed: %v", e.ID, err)

@@ -18,23 +18,34 @@
 // to a file inside its own state directory (one live world per file,
 // enforced by a reservation held until Close), and `restore` is refused
 // outright, so no tenant can make the daemon open, append to, or
-// truncate a host file of its choosing. A wire spec with `pool` > 0 is
-// served from a warm pool instead of a boot: worlds with identical
-// specs (name and pool size aside) share one pool of pre-forked
-// copy-on-write template clones, so tenant creation is a stack pop off
-// the request path (see world.Pool); pooled members are otherwise
-// ordinary tenants — they run sessions, stay fully isolated (COW
-// unsharing means a write in one never appears in a sibling), and are
-// closed, not recycled, on DELETE. Idle worlds run zero goroutines;
-// the per-world cost is the kernel's in-memory filesystem plus whatever
-// facilities the spec opted into (telemetry registries carry latency
-// histograms and a flight ring, so memory-conscious fleets leave
-// Telemetry off and rely on the server's own session counters).
+// truncate a host file of its choosing.
+//
+// # Boot once per daemon
+//
+// New boots one bare base world from Config.Register and Config.Setup —
+// the only boot the server runs. Every world it hosts is a copy-on-write
+// fork of that base (world.Fork): a create is one O(#inodes) fork plus
+// the spec's own facilities (journal with replay, fsck gate, telemetry,
+// tracer, injector, supervisor, agents), never a rebuild of the image
+// set and fixtures, and a recovery rebuild is the same fork with the
+// tenant's journal replayed onto it. A wire spec with `pool` > 0 goes
+// one step further: worlds with identical specs (name and pool size
+// aside) share one pool of pre-forked base clones, so creation is a
+// stack pop off the request path (see world.Pool). All pools share the
+// base as their template. Every hosted world is otherwise an ordinary,
+// fully isolated tenant — COW unsharing means a write in one never
+// appears in a sibling or in the base — and is closed, not recycled, on
+// DELETE. Idle worlds run zero goroutines; the per-world cost is the
+// kernel's in-memory inode tree (file data stays shared with the base
+// until written) plus whatever facilities the spec opted into
+// (telemetry registries carry latency histograms and a flight ring, so
+// memory-conscious fleets leave Telemetry off and rely on the server's
+// own session counters).
 //
 // # Lock ordering
 //
 // Server.mu guards only the world table (id → entry) and the draining
-// flag. Every world operation — Boot, Exec, Close — runs OUTSIDE
+// flag. Every world operation — Fork, Exec, Close — runs OUTSIDE
 // Server.mu: handlers look the entry up under the lock, release it, and
 // then call into the world, which serializes its own sessions on its
 // own lock. Server.mu is therefore never held while a world lock is,
@@ -65,12 +76,14 @@ import (
 	"interpose/internal/world"
 )
 
-// Config wires the server to its world template: the host-side hooks a
-// wire Spec cannot carry.
+// Config wires the server to its base world: the host-side hooks a wire
+// Spec cannot carry.
 type Config struct {
-	// Register populates every world's image registry (required).
+	// Register populates the base world's image registry (required);
+	// every hosted world shares it.
 	Register func(*image.Registry)
-	// Setup hooks prepended to every world's Setup (optional fixtures).
+	// Setup hooks run once, on the base world (optional fixtures); every
+	// hosted world inherits their output copy-on-write.
 	Setup []func(*kernel.Kernel) error
 	// StateDir is the directory holding tenant journal files. A wire
 	// spec's `journal` field is a bare key, not a host path: the server
@@ -109,7 +122,7 @@ type entry struct {
 	gone bool       // set by DELETE and Shutdown; recovery stops
 
 	w       atomic.Pointer[world.World]
-	spec    world.Spec  // sanitized boot spec, reused by recovery rebuilds
+	spec    world.Spec  // sanitized member spec, reused by recovery rebuilds
 	pool    *world.Pool // non-nil for pooled tenants (rebuild = Acquire)
 	journal string      // reserved journal host path, "" if none
 
@@ -151,7 +164,7 @@ type Info struct {
 	// Restarts counts successful automatic recoveries.
 	Restarts uint64 `json:"restarts,omitempty"`
 	// RebuildNs is the mean nanoseconds per successful rebuild (the
-	// teardown + boot/acquire cost, excluding detection and backoff).
+	// teardown + fork/acquire cost, excluding detection and backoff).
 	RebuildNs int64 `json:"rebuild_ns,omitempty"`
 }
 
@@ -189,8 +202,8 @@ type Metrics struct {
 }
 
 // poolSlot is one warm-world pool plus its create-once latch. The slot
-// is inserted into the pool table under Server.mu, but the expensive
-// pool construction (template boot + N forks) runs outside it, guarded
+// is inserted into the pool table under Server.mu, but the pool
+// construction (N forks of the base) runs outside it, guarded
 // by the slot's own once — concurrent first creates for the same spec
 // wait for one construction instead of racing N.
 type poolSlot struct {
@@ -204,6 +217,12 @@ type poolSlot struct {
 // ordering discipline.
 type Server struct {
 	cfg Config
+	// base is the bare world New boots from Config.Register and
+	// Config.Setup: no agents, journal or telemetry, and it never runs
+	// a session. Every hosted world — plain tenant, pool member,
+	// recovery rebuild — is a copy-on-write fork of it. Shutdown closes
+	// it after every tenant and pool.
+	base *world.World
 
 	mu       sync.Mutex
 	worlds   map[string]*entry
@@ -238,7 +257,8 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// New builds a server from its config and starts the health watchdog
+// New builds a server from its config — booting the base world, the
+// only boot the server ever runs — and starts the health watchdog
 // (unless disabled).
 func New(cfg Config) (*Server, error) {
 	if cfg.Register == nil {
@@ -249,9 +269,14 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("worldd: state dir: %w", err)
 		}
 	}
+	base, err := world.Boot(world.Spec{Name: "base", Register: cfg.Register, Setup: cfg.Setup})
+	if err != nil {
+		return nil, fmt.Errorf("worldd: base world: %w", err)
+	}
 	cfg.Health = cfg.Health.withDefaults()
 	s := &Server{
 		cfg:      cfg,
+		base:     base,
 		worlds:   make(map[string]*entry),
 		journals: make(map[string]string),
 		pools:    make(map[string]*poolSlot),
@@ -295,7 +320,7 @@ func (s *Server) journalFile(key string) (string, error) {
 }
 
 // releaseJournal returns a journal file to the pool. It must run only
-// after the holding world's Close (or a failed Boot): the FileStore has
+// after the holding world's Close (or a failed build): the FileStore has
 // the file open — final group commit included — until then, and a new
 // world must never append to it concurrently. No-op for the empty path.
 func (s *Server) releaseJournal(path string) {
@@ -389,7 +414,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closed.Add(1)
 	}
 
-	// Pools go last: their warm members and templates are not in the
+	// Pools go after the tenants: their warm members are not in the
 	// world table, and closing a pool stops its background refiller.
 	s.mu.Lock()
 	slots := make([]*poolSlot, 0, len(s.pools))
@@ -406,6 +431,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		if cerr := slot.pool.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
+	}
+
+	// The base goes last: no tenant, pool refiller or recovery loop is
+	// left to fork it.
+	if cerr := s.base.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 
 	s.logf("worldd: drained %d worlds", len(victims))
@@ -473,15 +504,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	// The wire spec carries budgets and options; the server owns the
-	// host-side wiring. Host paths never cross the socket: restores are
-	// refused, and the journal field is a key mapped into the server's
-	// own state directory.
-	spec.Register = s.cfg.Register
-	spec.Setup = append(append([]func(*kernel.Kernel) error{}, s.cfg.Setup...), spec.Setup...)
-	spec.RestoreFrom = nil
-	spec.Mirror = nil
-	spec.OnQuarantine = nil
+	// The wire spec carries budgets and options; the host-side wiring
+	// (the function-valued fields) is json:"-" and never crosses the
+	// socket — every world forks the server's base instead. Host paths
+	// never cross it either: restores are refused, and the journal
+	// field is a key mapped into the server's own state directory.
 	if spec.RestorePath != "" {
 		httpError(w, http.StatusBadRequest, "restore is not accepted over the wire")
 		return
@@ -490,18 +517,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "admission: negative budget")
 		return
 	}
-	if spec.Pool > 0 {
-		// Pooled tenants take the warm-fork fast path; file journals are
-		// per-world host files and cannot back N identical members.
-		if spec.JournalPath != "" {
+	jkey, jpath := spec.JournalPath, ""
+	if jkey != "" {
+		if spec.Pool > 0 {
+			// File journals are per-world host files and cannot back N
+			// identical pool members.
 			httpError(w, http.StatusBadRequest, "pooled worlds cannot use a file journal; use journal_mem")
 			return
 		}
-		s.createFromPool(w, spec)
-		return
-	}
-	jkey, jpath := spec.JournalPath, ""
-	if jkey != "" {
 		p, err := s.journalFile(jkey)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "journal: %v", err)
@@ -519,13 +542,22 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// One live world per journal file: two FileStores appending to the
 	// same host file would interleave frames and corrupt it beyond
-	// recovery. The reservation is taken before Boot opens the file and
-	// held until the holder's Close has closed it.
+	// recovery. The reservation is taken before the build opens the
+	// file and held until the holder's Close has closed it.
 	if jpath != "" {
 		if _, busy := s.journals[jpath]; busy {
 			s.mu.Unlock()
 			httpError(w, http.StatusConflict, "journal %q in use", jkey)
 			return
+		}
+	}
+	var slot *poolSlot
+	pkey := ""
+	if spec.Pool > 0 {
+		pkey = poolKey(spec)
+		if slot = s.pools[pkey]; slot == nil {
+			slot = &poolSlot{name: spec.Name}
+			s.pools[pkey] = slot
 		}
 	}
 	s.nextID++
@@ -535,16 +567,41 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 
-	// Boot outside the table lock: a journal replay can be slow, and
+	e := &entry{ID: id, Name: spec.Name, journal: jpath, spec: spec,
+		admit: newAdmitState(spec.Admission)}
+	if slot != nil {
+		// Build the pool outside every server lock (N warm forks of the
+		// base); concurrent first creates wait here instead of racing.
+		slot.once.Do(func() {
+			slot.pool, slot.err = world.NewPoolFrom(s.base, spec, spec.Pool)
+		})
+		if slot.err != nil {
+			// A failed construction does not poison the key forever.
+			s.mu.Lock()
+			if s.pools[pkey] == slot {
+				delete(s.pools, pkey)
+			}
+			s.mu.Unlock()
+			httpError(w, http.StatusBadRequest, "pool: %v", slot.err)
+			return
+		}
+		if slot.pool == nil {
+			// Shutdown latched the slot before any create built it.
+			httpError(w, http.StatusServiceUnavailable, "server draining")
+			return
+		}
+		e.pool = slot.pool
+	}
+
+	// Build outside the table lock: a journal replay can be slow, and
 	// siblings must not wait on it.
-	wd, err := world.Boot(spec)
+	wd, err := s.build(e)
 	if err != nil {
 		s.releaseJournal(jpath)
-		httpError(w, http.StatusBadRequest, "boot: %v", err)
+		httpError(w, http.StatusBadRequest, "create: %v", err)
 		return
 	}
-	e := &entry{ID: id, Name: spec.Name, Created: time.Now(), journal: jpath,
-		spec: spec, admit: newAdmitState(spec.Admission)}
+	e.Created = time.Now()
 	e.w.Store(wd)
 	s.adopt(e, wd)
 
@@ -564,6 +621,19 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	reply(w, http.StatusCreated, s.info(e))
 }
 
+// build constructs a world for an entry — on create and on every
+// recovery rebuild alike: a pooled tenant takes a warm member from its
+// pool, any other tenant is a fresh copy-on-write fork of the base,
+// whose journal (if any) is replayed and fsck-gated by the fork's
+// facility setup. Either way the world is a fork of the one base world
+// the server booted; nothing on the request path boots.
+func (s *Server) build(e *entry) (*world.World, error) {
+	if e.pool != nil {
+		return e.pool.Acquire()
+	}
+	return world.Fork(s.base, e.spec)
+}
+
 // poolKey canonicalizes a sanitized wire spec for pool sharing: two
 // creates whose specs differ only in name and pool size draw from the
 // same pool. Only wire fields participate (the host-side func fields
@@ -572,70 +642,6 @@ func poolKey(spec world.Spec) string {
 	spec.Name, spec.Pool = "", 0
 	b, _ := json.Marshal(spec)
 	return string(b)
-}
-
-// createFromPool serves a pooled create: the spec's pool is found (or
-// built, once, by the first creator) and a member acquired from it — a
-// warm copy-on-write fork, not a boot. The acquired world is a normal
-// tenant from then on: it appears in the table, runs sessions, and
-// DELETE closes it (members are consumed, never returned to the pool).
-func (s *Server) createFromPool(w http.ResponseWriter, spec world.Spec) {
-	key := poolKey(spec)
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		httpError(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	slot := s.pools[key]
-	if slot == nil {
-		slot = &poolSlot{name: spec.Name}
-		s.pools[key] = slot
-	}
-	s.nextID++
-	id := fmt.Sprintf("w%d", s.nextID)
-	s.mu.Unlock()
-
-	// Build the pool outside every server lock (template boot + N warm
-	// forks); concurrent first creates wait here instead of racing.
-	slot.once.Do(func() {
-		slot.pool, slot.err = world.NewPool(spec, spec.Pool)
-	})
-	if slot.err != nil {
-		// A failed construction does not poison the key forever.
-		s.mu.Lock()
-		if s.pools[key] == slot {
-			delete(s.pools, key)
-		}
-		s.mu.Unlock()
-		httpError(w, http.StatusBadRequest, "pool: %v", slot.err)
-		return
-	}
-
-	wd, err := slot.pool.Acquire()
-	if err != nil {
-		httpError(w, http.StatusConflict, "pool: %v", err)
-		return
-	}
-	e := &entry{ID: id, Name: spec.Name, Created: time.Now(),
-		spec: spec, pool: slot.pool, admit: newAdmitState(spec.Admission)}
-	e.w.Store(wd)
-	s.adopt(e, wd)
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		wd.Close()
-		httpError(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	s.worlds[id] = e
-	s.mu.Unlock()
-
-	s.created.Add(1)
-	s.logf("worldd: created %s (%s) from pool", id, spec.Name)
-	reply(w, http.StatusCreated, s.info(e))
 }
 
 // lookup finds a world entry by id, briefly under the table lock.
