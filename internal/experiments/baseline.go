@@ -7,105 +7,86 @@ import (
 	"strings"
 )
 
-// Baseline regression checking: the perf-smoke CI job runs the Table 3-5
-// microbenchmarks once and compares the guarded rows against the
-// checked-in BENCH_BASELINE.json, failing on a large regression. The
-// guards cover the two hot paths this repository optimizes: the
-// uninterposed stat (pathname + attribute cache) and the intercepted
-// getpid (interest-vector dispatch).
+// The -check gate. Each registry entry declares its own gates beside its
+// rows: Guards, absolute limits against a checked-in baseline file, and
+// Relations, limits of one row against another row of the same run. The
+// gate enforces every registered gate whatever subset of tables was
+// measured, so a row that silently stops being measured fails rather
+// than passes.
 
-// GuardedRows are the "table:row" keys the perf smoke check enforces.
-// The checked-in baseline values carry modest headroom over a quiet-host
-// measurement (stat() ~380ns → 450ns, getpid()-intercepted ~40ns → 48ns)
-// so scheduler jitter on shared CI runners does not trip the gate, while
-// a genuine fall back to the pre-cache walk (stat() ~825ns) or a slow
-// dispatch path still blows well past the +50% limit.
-//
-// The sup rows guard the supervisor's pay-per-use contract: idle is the
-// uninterposed fast path with a supervisor installed but no layers —
-// it must stay at the off cost (one atomic plan load, ~23ns → 28ns
-// baseline) — and strict is the fully supervised interposed leg
-// (~63ns → 76ns baseline).
-//
-// The trace rows guard the span tracer's pay-per-use contract: off is
-// the fast path with no tracer installed (one extra atomic pointer
-// load over sup off), and sampled is an installed tracer at 1% — the
-// unsampled 99% must pay only an xorshift draw, not clock reads or
-// span recording.
-// The worldd rows guard the multi-tenant server's scaling claims: a
-// session is one exec round trip through the daemon handler (its
-// inverse is the daemon's sessions/sec), and idle-mem/world is the
-// per-world heap floor with a 10,000-world idle fleet resident — the
-// row's unit is bytes, not nanoseconds, but the regression arithmetic
-// is the same. The memory row is what keeps per-world facilities
-// honest: anything attached unconditionally at boot shows up here
-// multiplied by ten thousand.
-// The pool rows guard the warm-pool claim that boot is off the session
-// path: acquire-hit is the pooled request-path cost (a warm-stack pop
-// plus gauge wiring) and fork is the COW clone that refills the stack.
-// The absolute guards catch a fork that starts copying data or an
-// acquire that grows work; the relations below pin the cross-row claims
-// (acquire beats boot, fork cost independent of file bytes) on any host.
-// The resil rows guard the self-healing layer's pay-per-use contract:
-// probe is the watchdog's recurring per-probe cost on an idle tenant,
-// and session/admit is the daemon exec round trip with every admission
-// gate engaged but none rejecting — the admitted fast path must not
-// grow work as the health machinery evolves.
-var GuardedRows = []string{
-	"3-5:stat()/without",
-	"3-5:getpid()/with",
-	"sup:getpid()/idle",
-	"sup:getpid()/strict",
-	"trace:getpid()/off",
-	"trace:getpid()/sampled",
-	"worldd:session",
-	"worldd:idle-mem/world",
-	"pool:acquire-hit",
-	"pool:fork",
-	"resil:probe",
-	"resil:session/admit",
-}
-
-// MaxRegress is the allowed slowdown factor before the check fails:
-// 0.5 means a guarded row may be at most 50% slower than its baseline.
+// MaxRegress is the allowed slowdown factor before a guard fails: 0.5
+// means a guarded row may be at most 50% slower than its baseline.
 const MaxRegress = 0.5
 
-// Relation is a relational guard between two rows measured in the same
+// Relation is a relational gate between two rows measured in the same
 // run: Left must cost at most Factor times Right. Unlike the absolute
-// baseline guards, a relation compares two legs of the same noisy
-// machine against each other, so it holds on any host.
+// guards, a relation compares two legs of the same noisy machine against
+// each other, so it holds on any host. In a Table, Left and Right are
+// rows of that table.
 type Relation struct {
-	Left, Right string  // "table:row" keys
+	Left, Right string
 	Factor      float64 // Left <= Factor * Right
 	Why         string
 }
 
-// Relations are the relational guards of the -check gate. A relation is
-// skipped when neither side was measured (its table was not requested),
-// but a half-measured relation fails — a vanished leg is not a pass.
-var Relations = []Relation{
-	{Left: "crash:make/on", Right: "crash:make/off", Factor: 1.15,
-		Why: "journal-on write-path overhead must stay within 15% on the write-heavy make workload"},
-	{Left: "crash:restore", Right: "crash:boot", Factor: 1.0,
-		Why: "restoring a checkpoint must beat a full boot"},
-	{Left: "pool:acquire-hit", Right: "pool:boot", Factor: 0.4,
-		Why: "a pool-hit acquire must be far cheaper than the boot it replaces (the <50µs-vs-~113µs claim)"},
-	{Left: "pool:fork/large", Right: "pool:fork", Factor: 2.0,
-		Why: "COW fork cost must be O(#inodes): 256x the file bytes may not move the fork time"},
-	{Left: "resil:recover/pool", Right: "resil:boot", Factor: 1.0,
-		Why: "recovery through the warm pool must beat the cold boot it replaces"},
-	{Left: "resil:session/admit", Right: "resil:session", Factor: 1.15,
-		Why: "the admission gates must add no measurable cost to the admitted session fast path"},
+// gates returns every guard of tables as a "table:row" key, and every
+// relation with its rows qualified the same way.
+func gates(tables []Table) (guards []string, rels []Relation) {
+	for _, t := range tables {
+		for _, g := range t.Guards {
+			guards = append(guards, t.Name+":"+g)
+		}
+		for _, r := range t.Relations {
+			r.Left, r.Right = t.Name+":"+r.Left, t.Name+":"+r.Right
+			rels = append(rels, r)
+		}
+	}
+	return guards, rels
 }
 
-// CheckRelations enforces Relations over the measured entries.
-func CheckRelations(measured []BenchEntry, rels []Relation) (string, error) {
-	got := make(map[string]int64, len(measured))
-	for _, e := range measured {
-		got[e.Table+":"+e.Row] = e.NsPerOp
-	}
+// Check enforces the gates of every registered table: measured guarded
+// rows against baseline, then the relations among measured rows. The
+// report lists every comparison made, and the error every failure of
+// either kind.
+func Check(baseline, measured []BenchEntry) (string, error) {
+	return check(Tables, baseline, measured)
+}
+
+func check(tables []Table, baseline, measured []BenchEntry) (string, error) {
+	base, got := byKey(baseline), byKey(measured)
+	guards, rels := gates(tables)
 	var report strings.Builder
 	var failures []string
+
+	fmt.Fprintf(&report, "Guarded rows (limit +%.0f%% over baseline):\n", 100*MaxRegress)
+	for _, g := range guards {
+		b, okB := base[g]
+		m, okM := got[g]
+		switch {
+		case !okB:
+			failures = append(failures, fmt.Sprintf("%s: missing from baseline", g))
+		case !okM:
+			failures = append(failures, fmt.Sprintf("%s: not measured", g))
+		case b <= 0:
+			failures = append(failures, fmt.Sprintf("%s: degenerate baseline %dns", g, b))
+		default:
+			ratio := float64(m)/float64(b) - 1
+			status := "ok"
+			if ratio > MaxRegress {
+				status = "REGRESSED"
+				failures = append(failures,
+					fmt.Sprintf("%s: %dns vs baseline %dns (%+.0f%%, limit +%.0f%%)",
+						g, m, b, 100*ratio, 100*MaxRegress))
+			}
+			fmt.Fprintf(&report, "  %-24s %10dns baseline %10dns  %+6.1f%%  %s\n",
+				g, m, b, 100*ratio, status)
+		}
+	}
+
+	// A relation whose rows were both left unmeasured (its table was not
+	// requested) is skipped; a half-measured one fails, since a vanished
+	// leg is not a pass.
+	report.WriteString("Relations:\n")
 	for _, r := range rels {
 		l, okL := got[r.Left]
 		rv, okR := got[r.Right]
@@ -132,69 +113,46 @@ func CheckRelations(measured []BenchEntry, rels []Relation) (string, error) {
 				r.Left, l, r.Factor, r.Right, rv, ratio, status)
 		}
 	}
+
 	if len(failures) > 0 {
-		return report.String(), fmt.Errorf("experiments: relation check failed:\n  %s",
-			strings.Join(failures, "\n  "))
+		return report.String(), fmt.Errorf("check failed:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return report.String(), nil
+}
+
+// byKey indexes entries by their "table:row" key.
+func byKey(es []BenchEntry) map[string]int64 {
+	m := make(map[string]int64, len(es))
+	for _, e := range es {
+		m[e.Table+":"+e.Row] = e.NsPerOp
+	}
+	return m
 }
 
 // ReadBenchJSON loads a bench-entries file written by WriteBenchJSON.
 func ReadBenchJSON(path string) ([]BenchEntry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: baseline: %w", err)
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	var entries []BenchEntry
 	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("experiments: baseline %s: %w", path, err)
+		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
 	return entries, nil
 }
 
-// CheckBaseline compares measured entries against a baseline. Guarded
-// rows missing from either side fail (a silently vanished benchmark is
-// not a pass); a guarded row slower than baseline by more than maxRegress
-// fails. The returned report lists every guarded comparison.
-func CheckBaseline(baseline, measured []BenchEntry, guards []string, maxRegress float64) (string, error) {
-	key := func(e BenchEntry) string { return e.Table + ":" + e.Row }
-	base := make(map[string]int64, len(baseline))
-	for _, e := range baseline {
-		base[key(e)] = e.NsPerOp
+// WriteBenchJSON writes the collected entries to path as indented JSON.
+func WriteBenchJSON(path string, entries []BenchEntry) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	got := make(map[string]int64, len(measured))
-	for _, e := range measured {
-		got[key(e)] = e.NsPerOp
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(entries); err != nil {
+		f.Close()
+		return err
 	}
-
-	var report strings.Builder
-	var failures []string
-	for _, g := range guards {
-		b, okB := base[g]
-		m, okM := got[g]
-		switch {
-		case !okB:
-			failures = append(failures, fmt.Sprintf("%s: missing from baseline", g))
-		case !okM:
-			failures = append(failures, fmt.Sprintf("%s: not measured", g))
-		case b <= 0:
-			failures = append(failures, fmt.Sprintf("%s: degenerate baseline %dns", g, b))
-		default:
-			ratio := float64(m)/float64(b) - 1
-			status := "ok"
-			if ratio > maxRegress {
-				status = "REGRESSED"
-				failures = append(failures,
-					fmt.Sprintf("%s: %dns vs baseline %dns (%+.0f%%, limit +%.0f%%)",
-						g, m, b, 100*ratio, 100*maxRegress))
-			}
-			fmt.Fprintf(&report, "  %-24s %10dns baseline %10dns  %+6.1f%%  %s\n",
-				g, m, b, 100*ratio, status)
-		}
-	}
-	if len(failures) > 0 {
-		return report.String(), fmt.Errorf("experiments: baseline check failed:\n  %s",
-			strings.Join(failures, "\n  "))
-	}
-	return report.String(), nil
+	return f.Close()
 }

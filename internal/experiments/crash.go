@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
+	"strings"
 	"time"
 
 	"interpose/internal/apps"
@@ -16,23 +16,22 @@ import (
 
 // The crash-consistency cost table ("crash"): what the write-ahead
 // journal costs on the write path, and what a world checkpoint buys over
-// a full boot. Two relations are enforced by the -check gate (see
-// Relations in baseline.go): the journal-on make workload within 15% of
-// journal-off, and restoring a checkpoint cheaper than booting the same
-// world from scratch.
+// a full boot. Two relations gate it: the journal-on make workload
+// within 15% of journal-off, and restoring a checkpoint cheaper than
+// booting the same world from scratch.
 //
 // The write4k rows are the raw per-write floor: an uninterposed 4 KB
 // in-memory overwrite is a few hundred nanoseconds of memmove, so the
 // journal's extra passes over the data (frame encode, CRC-32, store
-// append) necessarily multiply it. The guarded overhead claim is the
+// append) necessarily multiply it. The gated overhead claim is the
 // workload-level make rows, where writes ride along real computation the
 // way they do in any deployment that would turn the journal on.
-
-// CrashRow is one measured row of the crash table.
-type CrashRow struct {
-	Name string
-	Per  time.Duration
-}
+var crashTable = Table{Name: "crash", run: runCrash, Relations: []Relation{
+	{Left: "make/on", Right: "make/off", Factor: 1.15,
+		Why: "journal-on write-path overhead must stay within 15% on the write-heavy make workload"},
+	{Left: "restore", Right: "boot", Factor: 1.0,
+		Why: "restoring a checkpoint must beat a full boot"},
+}}
 
 // write4kOps is the per-measurement repetition count of the write rows.
 const write4kOps = 2000
@@ -56,119 +55,90 @@ func crashWorld() (*kernel.Kernel, error) {
 	return w.Kernel(), nil
 }
 
-// RunCrashTable measures the crash table: per-write cost with the
-// journal off and on, then checkpoint, restore, and full-boot latency
-// for the same world.
-func RunCrashTable(runs int) ([]CrashRow, error) {
-	writeRows, err := measureStacks(runs, []string{"off", "on"}, func(stack string) (time.Duration, error) {
+// withJournal attaches an in-memory journal to k when row is a
+// journal-on row.
+func withJournal(k *kernel.Kernel, row string) {
+	if strings.HasSuffix(row, "/on") {
+		k.SetJournal(journal.NewWriter(journal.NewMemStore(0), 0))
+	}
+}
+
+func runCrash(w io.Writer, runs, _ int) ([]BenchEntry, error) {
+	// The per-write rows, each measurement in a fresh world.
+	writes, err := interleavedMean(runs, []string{"write4k/off", "write4k/on"}, func(row string) (time.Duration, error) {
 		k, err := World()
 		if err != nil {
 			return 0, err
 		}
-		if stack == "on" {
-			k.SetJournal(journal.NewWriter(journal.NewMemStore(0), 0))
-		}
-		return RunBench(k, nil, "write4k", write4kOps)
+		withJournal(k, row)
+		d, err := RunBench(k, nil, "write4k", write4kOps)
+		return d / write4kOps, err
 	})
 	if err != nil {
-		return nil, fmt.Errorf("crash table: %w", err)
-	}
-	rows := []CrashRow{
-		{Name: "write4k/off", Per: writeRows[0].Elapsed / write4kOps},
-		{Name: "write4k/on", Per: writeRows[1].Elapsed / write4kOps},
+		return nil, err
 	}
 
 	// The workload rows: the make build (compiler, assembler, linker all
 	// writing through the VFS) with and without a journal attached.
-	makeEnvs := make(map[string]*kernel.Kernel, 2)
-	for _, s := range []string{"off", "on"} {
+	makeRows := []string{"make/off", "make/on"}
+	makeEnvs := make(map[string]*kernel.Kernel, len(makeRows))
+	for _, row := range makeRows {
 		k, err := World()
 		if err != nil {
-			return nil, fmt.Errorf("crash table: %w", err)
+			return nil, err
 		}
 		if err := SetupMake(k, crashPrograms); err != nil {
-			return nil, fmt.Errorf("crash table: %w", err)
+			return nil, err
 		}
-		if s == "on" {
-			k.SetJournal(journal.NewWriter(journal.NewMemStore(0), 0))
-		}
-		makeEnvs[s] = k
+		withJournal(k, row)
+		makeEnvs[row] = k
 	}
-	makeRows, err := measureStacks(runs, []string{"off", "on"}, func(stack string) (time.Duration, error) {
-		k := makeEnvs[stack]
+	makes, err := interleavedMean(runs, makeRows, func(row string) (time.Duration, error) {
+		k := makeEnvs[row]
 		if err := CleanMake(k, crashPrograms); err != nil {
 			return 0, err
 		}
 		return RunMake(k, nil)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("crash table: %w", err)
+		return nil, err
 	}
-	rows = append(rows,
-		CrashRow{Name: "make/off", Per: makeRows[0].Elapsed},
-		CrashRow{Name: "make/on", Per: makeRows[1].Elapsed})
 
 	// One canonical world provides the checkpoint image; the snapshot is
 	// taken once and restored repeatedly.
 	k, err := crashWorld()
 	if err != nil {
-		return nil, fmt.Errorf("crash table: %w", err)
+		return nil, err
 	}
 	var snap bytes.Buffer
 	if err := k.Checkpoint(&snap); err != nil {
-		return nil, fmt.Errorf("crash table: checkpoint: %w", err)
+		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
 	images := image.NewRegistry()
 	apps.Register(images)
-
-	timed := func(name string, op func() error) error {
-		var total time.Duration
-		for r := 0; r < runs+1; r++ {
-			runtime.GC()
-			start := time.Now()
-			if err := op(); err != nil {
-				return fmt.Errorf("crash table: %s: %w", name, err)
-			}
-			if r > 0 { // discard the warm-up round, like measureStacks
-				total += time.Since(start)
-			}
+	ops := map[string]func() error{
+		"checkpoint": func() error { return k.Checkpoint(io.Discard) },
+		"restore": func() error {
+			_, err := kernel.Restore(images, bytes.NewReader(snap.Bytes()))
+			return err
+		},
+		"boot": func() error {
+			_, err := crashWorld()
+			return err
+		},
+	}
+	// Each op gets its own loop rather than one interleaved loop, so
+	// that every row keeps its working set warm across its rounds.
+	es := append(writes, makes...)
+	for _, row := range []string{"checkpoint", "restore", "boot"} {
+		r, err := interleavedMean(runs, []string{row}, func(string) (time.Duration, error) {
+			return perOp(1, ops[row])
+		})
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, CrashRow{Name: name, Per: total / time.Duration(runs)})
-		return nil
+		es = append(es, r...)
 	}
-	if err := timed("checkpoint", func() error { return k.Checkpoint(io.Discard) }); err != nil {
-		return nil, err
-	}
-	if err := timed("restore", func() error {
-		_, err := kernel.Restore(images, bytes.NewReader(snap.Bytes()))
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	if err := timed("boot", func() error {
-		_, err := crashWorld()
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// PrintCrash renders the crash table.
-func PrintCrash(w io.Writer, rows []CrashRow) {
-	fmt.Fprintln(w, "Crash consistency cost (journal + checkpoint/restore):")
-	fmt.Fprintf(w, "  %-24s %12s\n", "operation", "per op")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-24s %12v\n", r.Name, r.Per)
-	}
-	fmt.Fprintln(w)
-}
-
-// CrashEntries converts the rows for the bench JSON / baseline check.
-func CrashEntries(rows []CrashRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "crash", Row: r.Name, NsPerOp: r.Per.Nanoseconds()})
-	}
-	return es
+	printRows(w, "Crash consistency cost (journal + checkpoint/restore, per op):", es, nil)
+	return es, nil
 }

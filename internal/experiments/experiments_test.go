@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -105,7 +106,7 @@ func TestMakeWorkloadRunsAndCleans(t *testing.T) {
 }
 
 func TestRunBenchOps(t *testing.T) {
-	for _, op := range Table35Ops {
+	for _, op := range table35Ops {
 		k := mustWorld(t)
 		if _, err := RunBench(k, nil, op.Op, 3); err != nil {
 			t.Fatalf("%s: %v", op.Op, err)
@@ -152,15 +153,22 @@ func TestKernelTraceHookCount(t *testing.T) {
 }
 
 func TestTable34Measures(t *testing.T) {
-	tb, err := RunTable34()
+	es, err := table34.Run(io.Discard, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.InterceptReturn <= 0 {
+	got := map[string]time.Duration{}
+	for _, e := range es {
+		if e.Table != "3-4" {
+			t.Fatalf("row %q stamped with table %q", e.Row, e.Table)
+		}
+		got[e.Row] = time.Duration(e.NsPerOp)
+	}
+	if got["intercept-return"] <= 0 {
 		t.Fatal("intercept cost not measured")
 	}
-	if tb.ProcedureCall <= 0 || tb.ProcedureCall > time.Millisecond {
-		t.Fatalf("procedure call time implausible: %v", tb.ProcedureCall)
+	if pc := got["procedure-call"]; pc <= 0 || pc > time.Millisecond {
+		t.Fatalf("procedure call time implausible: %v", pc)
 	}
 }
 
@@ -173,16 +181,23 @@ func TestMeasureAdaptive(t *testing.T) {
 
 func TestPrintersProduceTables(t *testing.T) {
 	var b strings.Builder
-	PrintMacro(&b, "Title", []MacroRow{
-		{Agent: "none", Elapsed: time.Second},
-		{Agent: "trace", Elapsed: 2 * time.Second, Slowdown: 100},
+	printSlowdown(&b, "Title", []BenchEntry{
+		entry("none", time.Second),
+		entry("trace", 2*time.Second),
 	})
 	PrintTable31(&b, []Table31Row{{Agent: "timex", Toolkit: 10, Specific: 1, Total: 11}})
-	PrintTable34(&b, Table34{})
-	PrintTable35(&b, []Table35Row{{Name: "getpid()"}})
-	PrintDFSTrace(&b, DFSTraceResult{Base: time.Second, Kernel: time.Second, Agent: 2 * time.Second}, 10, 20)
+	printTable34(&b, make([]BenchEntry, len(table34Labels)))
+	printTable35(&b, []BenchEntry{entry("getpid()/without", 40), entry("getpid()/with", 80)})
+	printDFSTrace(&b, []BenchEntry{
+		entry("untraced", time.Second),
+		entry("kernel-based", time.Second),
+		entry("dfstrace-agent", 2*time.Second),
+	}, 5, 6, 10, 20)
+	printSpeedups(&b, []BenchEntry{entry("j4-stat-cache-on", time.Second)}, entry("j4-stat-cache-off", 2*time.Second))
+	printRows(&b, "Rows", []BenchEntry{entry("probe", 1500)}, func(BenchEntry) string { return "ns   (remark)" })
 	out := b.String()
-	for _, want := range []string{"Title", "100.0%", "Table 3-1", "Table 3-4", "Table 3-5", "DFSTrace", "timex", "getpid()"} {
+	for _, want := range []string{"Title", "100.0%", "Table 3-1", "Table 3-4", "Table 3-5", "DFSTrace", "timex",
+		"getpid()", "40ns", "stat-cache-on", "2.00x", "1500ns   (remark)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("printed tables missing %q:\n%s", want, out)
 		}

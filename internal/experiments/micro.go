@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"fmt"
+	"io"
+	"strings"
 	"time"
 
 	"interpose/internal/kernel"
 	"interpose/internal/sys"
 )
 
-// Low-level measurements behind Table 3-4: the primitive costs that bound
-// every interposition agent's overhead.
+// Low-level measurements behind Tables 3-4 and 3-5: the primitive costs
+// that bound every interposition agent's overhead, and the per-call cost
+// of individual system calls without and with an agent.
 
 //go:noinline
 func plainCall(x int) int { return x + 1 }
@@ -49,19 +53,6 @@ func PlainCall(x int) int { return plainCall(x) }
 // dynamically, for the virtual-call benches.
 func IfaceCaller() interface{ Call(int) int } { return &callee{v: 1} }
 
-// MeasureProcedureCall times a plain (non-inlined) procedure call — the
-// paper's "C procedure call with 1 arg, result".
-func MeasureProcedureCall() time.Duration {
-	return Measure(func() { sink = plainCall(sink) })
-}
-
-// MeasureInterfaceCall times a dynamic-dispatch method call — the paper's
-// "C++ virtual procedure call with 1 arg, result".
-func MeasureInterfaceCall() time.Duration {
-	var c caller = &callee{v: 1}
-	return Measure(func() { sink = c.Call(sink) })
-}
-
 // interceptOnly is an emulation layer that handles a call entirely at the
 // agent level, immediately returning. Dispatching to it and back is the
 // floor cost of interception — the paper's "intercept and return from
@@ -91,64 +82,80 @@ func measureProc(k *kernel.Kernel) *kernel.Proc {
 	return p
 }
 
-// MeasureInterceptReturn times a system call that an agent layer handles
-// without calling down: interception machinery only.
-func MeasureInterceptReturn(k *kernel.Kernel) time.Duration {
+// getpidCost times a host-driven getpid on a fresh process of k, through
+// a pass-through layer when layered.
+func getpidCost(k *kernel.Kernel, layered bool) time.Duration {
+	p := measureProc(k)
+	if layered {
+		layer := kernel.NewEmuLayer(passThrough{})
+		layer.RegisterAll()
+		p.PushEmulation(layer)
+	}
+	return Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) })
+}
+
+// The low-level operations table (Table 3-4). The procedure and
+// interface calls are the paper's "C procedure call" and "C++ virtual
+// procedure call with 1 arg, result"; intercept-return is a call an
+// agent layer answers without calling down; downcall is the cost a
+// pass-through layer adds to a direct getpid.
+var table34 = Table{Name: "3-4", run: runTable34}
+
+// table34Labels name the Table 3-4 rows, in row order.
+var table34Labels = []string{
+	"Go procedure call with 1 arg, result",
+	"Interface (virtual) call with 1 arg, result",
+	"Intercept and return from system call",
+	"Downcall (htg_unix_syscall) overhead",
+}
+
+func runTable34(w io.Writer, _, _ int) ([]BenchEntry, error) {
+	k, err := World()
+	if err != nil {
+		return nil, err
+	}
+	direct := getpidCost(k, false)
+	through := getpidCost(k, true)
+	var c caller = &callee{v: 1}
 	p := measureProc(k)
 	layer := kernel.NewEmuLayer(interceptOnly{})
 	layer.Register(sys.SYS_getpagesize)
 	p.PushEmulation(layer)
-	return Measure(func() { p.Syscall(sys.SYS_getpagesize, sys.Args{}) })
-}
-
-// MeasureSyscallDirect times a trivial call with no agents installed.
-func MeasureSyscallDirect(k *kernel.Kernel) time.Duration {
-	p := measureProc(k)
-	return Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) })
-}
-
-// MeasureSyscallThroughLayer times the same trivial call through a
-// pass-through layer; the difference from MeasureSyscallDirect is the
-// downcall overhead.
-func MeasureSyscallThroughLayer(k *kernel.Kernel) time.Duration {
-	p := measureProc(k)
-	layer := kernel.NewEmuLayer(passThrough{})
-	layer.RegisterAll()
-	p.PushEmulation(layer)
-	return Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) })
-}
-
-// Table34 holds the low-level operation measurements.
-type Table34 struct {
-	ProcedureCall   time.Duration
-	InterfaceCall   time.Duration
-	InterceptReturn time.Duration
-	Downcall        time.Duration // overhead of one downcall hop
-}
-
-// RunTable34 performs the Table 3-4 measurements.
-func RunTable34() (Table34, error) {
-	k, err := World()
-	if err != nil {
-		return Table34{}, err
+	es := []BenchEntry{
+		entry("procedure-call", Measure(func() { sink = plainCall(sink) })),
+		entry("interface-call", Measure(func() { sink = c.Call(sink) })),
+		entry("intercept-return", Measure(func() { p.Syscall(sys.SYS_getpagesize, sys.Args{}) })),
+		entry("downcall", max(through-direct, 0)),
 	}
-	direct := MeasureSyscallDirect(k)
-	through := MeasureSyscallThroughLayer(k)
-	down := through - direct
-	if down < 0 {
-		down = 0
-	}
-	return Table34{
-		ProcedureCall:   MeasureProcedureCall(),
-		InterfaceCall:   MeasureInterfaceCall(),
-		InterceptReturn: MeasureInterceptReturn(k),
-		Downcall:        down,
-	}, nil
+	printTable34(w, es)
+	return es, nil
 }
 
-// Table35Ops lists the system call patterns of Table 3-5 with the
+func printTable34(w io.Writer, es []BenchEntry) {
+	fmt.Fprintf(w, "Table 3-4: Performance of low-level operations\n\n")
+	fmt.Fprintf(w, "  %-52s %10s\n", "Operation", "per op")
+	for i, e := range es {
+		fmt.Fprintf(w, "  %-52s %10s\n", table34Labels[i], fmtDur(time.Duration(e.NsPerOp)))
+	}
+	fmt.Fprintln(w)
+}
+
+// The per-system-call table (Table 3-5): each call pattern run by the
+// bench program in a fresh world, without and then with the measurement
+// (null) agent. Two rows are guarded against the baseline: the two hot
+// paths this repository optimizes, the uninterposed stat (pathname and
+// attribute cache) and the intercepted getpid (interest-vector
+// dispatch). The baseline values carry modest headroom over a quiet-host
+// measurement (stat() ~380ns → 450ns, getpid() ~40ns → 48ns) so that
+// scheduler jitter on shared runners does not trip the gate, while a fall
+// back to the pre-cache walk (stat() ~825ns) or a slow dispatch path
+// still fails it.
+var table35 = Table{Name: "3-5", run: runTable35,
+	Guards: []string{"stat()/without", "getpid()/with"}}
+
+// table35Ops lists the system call patterns of Table 3-5 with the
 // repetition counts used by the harness.
-var Table35Ops = []struct {
+var table35Ops = []struct {
 	Name string
 	Op   string
 	N    int
@@ -162,18 +169,9 @@ var Table35Ops = []struct {
 	{"execve()", "execve", 400},
 }
 
-// Table35Row is one measured row: per-call cost without and with the
-// measurement (null) agent.
-type Table35Row struct {
-	Name          string
-	Without, With time.Duration
-	Overhead      time.Duration
-}
-
-// RunTable35 measures every row of Table 3-5.
-func RunTable35() ([]Table35Row, error) {
-	var rows []Table35Row
-	for _, op := range Table35Ops {
+func runTable35(w io.Writer, _, _ int) ([]BenchEntry, error) {
+	var es []BenchEntry
+	for _, op := range table35Ops {
 		k, err := World()
 		if err != nil {
 			return nil, err
@@ -190,13 +188,23 @@ func RunTable35() ([]Table35Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Table35Row{
-			Name:    op.Name,
-			Without: bare / time.Duration(op.N),
-			With:    with / time.Duration(op.N),
-		}
-		row.Overhead = row.With - row.Without
-		rows = append(rows, row)
+		es = append(es,
+			entry(op.Name+"/without", bare/time.Duration(op.N)),
+			entry(op.Name+"/with", with/time.Duration(op.N)))
 	}
-	return rows, nil
+	printTable35(w, es)
+	return es, nil
+}
+
+// printTable35 writes the rows of runTable35: a /without and /with pair
+// per call.
+func printTable35(w io.Writer, es []BenchEntry) {
+	fmt.Fprintf(w, "Table 3-5: Performance of individual system calls\n\n")
+	fmt.Fprintf(w, "  %-28s %12s %12s %12s\n", "Operation", "without", "with agent", "toolkit ovh")
+	for i := 0; i+1 < len(es); i += 2 {
+		without, with := time.Duration(es[i].NsPerOp), time.Duration(es[i+1].NsPerOp)
+		fmt.Fprintf(w, "  %-28s %12s %12s %12s\n", strings.TrimSuffix(es[i].Row, "/without"),
+			fmtDur(without), fmtDur(with), fmtDur(with-without))
+	}
+	fmt.Fprintln(w)
 }

@@ -1,66 +1,56 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"interpose/internal/telemetry"
 )
 
-// ObsResult is the observability table: the Table 3-3 make workload run
-// under the trace agent with the flight-recorder substrate enabled, and
-// the telemetry snapshot it produced.
-type ObsResult struct {
-	Programs int
-	Elapsed  time.Duration
-	Snap     telemetry.Snapshot
-}
+// The observability table ("obs"): the Table 3-3 make workload run under
+// the trace agent with a telemetry registry installed, printing where
+// the time went per instance of the system interface (kernel vs each
+// agent layer) and the per-syscall latency distribution.
+var obsTable = Table{Name: "obs", run: runObs}
 
-// RunObs runs the make workload under the trace agent with a telemetry
-// registry installed, and returns the snapshot: where the time went, per
-// instance of the system interface (kernel vs each agent layer), and the
-// per-syscall latency distribution.
-func RunObs(programs int) (ObsResult, error) {
-	res := ObsResult{Programs: programs}
+func runObs(w io.Writer, _, programs int) ([]BenchEntry, error) {
 	k, err := World()
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	if err := SetupMake(k, programs); err != nil {
-		return res, err
+		return nil, err
 	}
 	agents, err := AgentStack(k, "trace")
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	reg := telemetry.NewRegistry()
 	k.SetTelemetry(reg)
 	defer k.SetTelemetry(nil)
-	res.Elapsed, err = RunMake(k, agents)
+	elapsed, err := RunMake(k, agents)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	res.Snap = reg.Snapshot()
-	return res, nil
+	printObs(w, programs, elapsed, reg.Snapshot())
+	return []BenchEntry{entry("make-under-trace", elapsed)}, nil
 }
 
-// PrintObs writes the observability table: per-layer attribution of the
+// printObs writes the observability table: per-layer attribution of the
 // run's wall time, then the busiest system calls with their latency
 // distribution summaries.
-func PrintObs(w io.Writer, res ObsResult) {
+func printObs(w io.Writer, programs int, elapsed time.Duration, snap telemetry.Snapshot) {
 	fmt.Fprintf(w, "Observability: make %d programs under the trace agent (elapsed %s)\n\n",
-		res.Programs, fmtDur(res.Elapsed))
+		programs, fmtDur(elapsed))
 
 	fmt.Fprintf(w, "  Per-layer attribution (self time, exclusive of lower instances)\n")
 	var total time.Duration
-	for _, l := range res.Snap.Layers {
+	for _, l := range snap.Layers {
 		total += l.Self
 	}
 	fmt.Fprintf(w, "  %-12s %12s %14s %10s\n", "Instance", "Calls", "Self", "% of self")
-	for _, l := range res.Snap.Layers {
+	for _, l := range snap.Layers {
 		pct := 0.0
 		if total > 0 {
 			pct = 100 * float64(l.Self) / float64(total)
@@ -68,9 +58,9 @@ func PrintObs(w io.Writer, res ObsResult) {
 		fmt.Fprintf(w, "  %-12s %12d %14s %9.1f%%\n", l.Name, l.Calls, fmtDur(l.Self), pct)
 	}
 
-	fmt.Fprintf(w, "\n  Busiest system calls (%d total, %d errors)\n", res.Snap.Total, res.Snap.Errs)
+	fmt.Fprintf(w, "\n  Busiest system calls (%d total, %d errors)\n", snap.Total, snap.Errs)
 	fmt.Fprintf(w, "  %-16s %10s %8s %10s %10s %10s\n", "call", "count", "errs", "mean", "p99", "max")
-	rows := res.Snap.Syscalls
+	rows := snap.Syscalls
 	if len(rows) > 12 {
 		rows = rows[:12]
 	}
@@ -79,36 +69,4 @@ func PrintObs(w io.Writer, res ObsResult) {
 			r.Name, r.Count, r.Errs, fmtDur(r.Mean), fmtDur(r.P99), fmtDur(r.Max))
 	}
 	fmt.Fprintln(w)
-}
-
-// BenchEntry is one measured row of a table, exported by the bench JSON
-// mode so successive runs can be diffed mechanically.
-type BenchEntry struct {
-	Table   string `json:"table"`
-	Row     string `json:"row"`
-	NsPerOp int64  `json:"ns_per_op"`
-}
-
-// MacroEntries converts a macro table's rows to bench entries.
-func MacroEntries(table string, rows []MacroRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: table, Row: r.Agent, NsPerOp: r.Elapsed.Nanoseconds()})
-	}
-	return es
-}
-
-// WriteBenchJSON writes the collected entries to path as indented JSON.
-func WriteBenchJSON(path string, entries []BenchEntry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(entries); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

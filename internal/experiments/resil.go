@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"interpose/internal/apps"
@@ -30,15 +29,19 @@ import (
 //     gate, per-tenant session cap + token bucket, none rejecting) —
 //     the pair that prices the admit fast path.
 //
-// The probe and session/admit rows are guarded against the baseline;
-// the relations pin recovery-from-pool under cold boot and the admit
-// path within 15% of the bare session on any host.
-
-// ResilRow is one measured row, in nanoseconds.
-type ResilRow struct {
-	Name  string
-	Value int64
-}
+// The probe and session/admit rows are guarded against the baseline, so
+// neither the idle watchdog nor the admitted fast path can grow work as
+// the health machinery evolves; the relations pin recovery-from-pool
+// under cold boot and the admit path within 15% of the bare session on
+// any host.
+var resilTable = Table{Name: "resil", run: runResil,
+	Guards: []string{"probe", "session/admit"},
+	Relations: []Relation{
+		{Left: "recover/pool", Right: "boot", Factor: 1.0,
+			Why: "recovery through the warm pool must beat the cold boot it replaces"},
+		{Left: "session/admit", Right: "session", Factor: 1.15,
+			Why: "the admission gates must add no measurable cost to the admitted session fast path"},
+	}}
 
 // resilProbes is the per-round probe count of the probe row.
 const resilProbes = 200
@@ -48,9 +51,6 @@ const resilBoots = 200
 
 // resilKills is the injected-crash count behind each recovery row.
 const resilKills = 30
-
-// resilSessions is the per-round session count of the session rows.
-const resilSessions = 200
 
 // measureRecovery boots a crashy tenant in a throwaway daemon, kills it
 // resilKills times by injected crash, waits out each recovery, and
@@ -73,7 +73,7 @@ func measureRecovery(spec []byte, stateDir string) (int64, error) {
 		},
 	})
 	if err != nil {
-		return 0, fmt.Errorf("resil table: %w", err)
+		return 0, err
 	}
 	defer srv.Shutdown(context.Background())
 	h := srv.Handler()
@@ -99,114 +99,50 @@ func measureRecovery(spec []byte, stateDir string) (int64, error) {
 				break
 			}
 			if time.Now().After(deadline) {
-				return 0, fmt.Errorf("resil table: tenant never recovered from kill %d (%+v)", i, in)
+				return 0, fmt.Errorf("tenant never recovered from kill %d (%+v)", i, in)
 			}
 			time.Sleep(500 * time.Microsecond)
 		}
 	}
 	if info.RebuildNs <= 0 {
-		return 0, fmt.Errorf("resil table: no rebuild time recorded (%+v)", info)
+		return 0, fmt.Errorf("no rebuild time recorded (%+v)", info)
 	}
 	return info.RebuildNs, nil
 }
 
-// measureSessions times the daemon exec round trip, best of runs.
-func measureSessions(runs int, cfg worldd.Config, spec []byte) (int64, error) {
-	srv, err := worldd.New(cfg)
-	if err != nil {
-		return 0, fmt.Errorf("resil table: %w", err)
-	}
-	defer srv.Shutdown(context.Background())
-	h := srv.Handler()
-	var info worldd.Info
-	if err := apiCall(h, "POST", "/1.0/worlds", spec, &info); err != nil {
-		return 0, err
-	}
-	execBody := []byte(`{"argv":["true"]}`)
-	round := func() (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < resilSessions; i++ {
-			var res world.ExecResult
-			if err := apiCall(h, "POST", "/1.0/worlds/"+info.ID+"/exec", execBody, &res); err != nil {
-				return 0, err
-			}
-			if res.Status != 0 {
-				return 0, fmt.Errorf("resil table: session exited %d", res.Status)
-			}
-		}
-		return time.Since(start), nil
-	}
-	if _, err := round(); err != nil { // warm-up
-		return 0, err
-	}
-	var best time.Duration
-	for r := 0; r < runs; r++ {
-		runtime.GC()
-		d, err := round()
-		if err != nil {
-			return 0, err
-		}
-		if r == 0 || d < best {
-			best = d
-		}
-	}
-	return (best / resilSessions).Nanoseconds(), nil
-}
-
-// RunResilTable measures the resilience table.
-func RunResilTable(runs int) ([]ResilRow, error) {
-	// Probe: what one watchdog liveness check costs the probed world.
+// measureProbe times what one watchdog liveness check costs the probed
+// world: resilProbes probes a round, best of runs.
+func measureProbe(runs int) (time.Duration, error) {
 	w, err := world.Boot(apps.Spec())
 	if err != nil {
-		return nil, fmt.Errorf("resil table: boot: %w", err)
+		return 0, fmt.Errorf("boot: %w", err)
 	}
-	probeReq := world.ExecRequest{Argv: []string{"true"}}
-	probeRound := func() (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < resilProbes; i++ {
-			res, err := w.Exec(probeReq)
-			if err != nil {
-				return 0, err
+	defer w.Close()
+	probe := world.ExecRequest{Argv: []string{"true"}}
+	d, err := bestOf(runs, func() (time.Duration, error) {
+		return perOp(resilProbes, func() error {
+			res, err := w.Exec(probe)
+			if err == nil && res.Status != 0 {
+				err = fmt.Errorf("probe exited %d", res.Status)
 			}
-			if res.Status != 0 {
-				return 0, fmt.Errorf("resil table: probe exited %d", res.Status)
-			}
-		}
-		return time.Since(start), nil
+			return err
+		})
+	})
+	if err != nil {
+		return 0, err
 	}
-	if _, err := probeRound(); err != nil { // warm-up
-		w.Close()
+	return d, w.Close()
+}
+
+func runResil(w io.Writer, runs, _ int) ([]BenchEntry, error) {
+	probe, err := measureProbe(runs)
+	if err != nil {
 		return nil, err
 	}
-	var probeBest time.Duration
-	for r := 0; r < runs; r++ {
-		runtime.GC()
-		d, err := probeRound()
-		if err != nil {
-			w.Close()
-			return nil, err
-		}
-		if r == 0 || d < probeBest {
-			probeBest = d
-		}
+	boot, err := bootClose(resilBoots)
+	if err != nil {
+		return nil, err
 	}
-	if err := w.Close(); err != nil {
-		return nil, fmt.Errorf("resil table: close: %w", err)
-	}
-	probePer := (probeBest / resilProbes).Nanoseconds()
-
-	// Boot: the cold-recovery floor.
-	start := time.Now()
-	for i := 0; i < resilBoots; i++ {
-		bw, err := world.Boot(apps.Spec())
-		if err != nil {
-			return nil, fmt.Errorf("resil table: boot: %w", err)
-		}
-		if err := bw.Close(); err != nil {
-			return nil, fmt.Errorf("resil table: close: %w", err)
-		}
-	}
-	bootPer := (time.Since(start) / resilBoots).Nanoseconds()
 
 	// Recovery: mean rebuild time after an injected crash, pooled vs
 	// journal-replaying.
@@ -217,7 +153,7 @@ func RunResilTable(runs int) ([]ResilRow, error) {
 	}
 	stateDir, err := os.MkdirTemp("", "resil-journal-")
 	if err != nil {
-		return nil, fmt.Errorf("resil table: %w", err)
+		return nil, err
 	}
 	defer os.RemoveAll(stateDir)
 	recoverJournal, err := measureRecovery(
@@ -241,39 +177,21 @@ func RunResilTable(runs int) ([]ResilRow, error) {
 		return nil, err
 	}
 
-	return []ResilRow{
-		{Name: "probe", Value: probePer},
-		{Name: "boot", Value: bootPer},
-		{Name: "recover/pool", Value: recoverPool},
-		{Name: "recover/journal", Value: recoverJournal},
-		{Name: "session", Value: session},
-		{Name: "session/admit", Value: sessionAdmit},
-	}, nil
-}
-
-// PrintResil renders the resilience table.
-func PrintResil(w io.Writer, rows []ResilRow) {
-	fmt.Fprintf(w, "Self-healing worldd (%d injected crashes per recovery row):\n", resilKills)
-	for _, r := range rows {
-		switch r.Name {
-		case "probe":
-			fmt.Fprintf(w, "  %-18s %10dns   (idle watchdog cost per probe)\n", r.Name, r.Value)
-		case "recover/pool", "recover/journal":
-			fmt.Fprintf(w, "  %-18s %10dns   (teardown + rebuild, detection excluded)\n", r.Name, r.Value)
-		case "session/admit":
-			fmt.Fprintf(w, "  %-18s %10dns   (admission gates engaged, none rejecting)\n", r.Name, r.Value)
-		default:
-			fmt.Fprintf(w, "  %-18s %10dns\n", r.Name, r.Value)
-		}
+	es := []BenchEntry{
+		entry("probe", probe),
+		entry("boot", boot),
+		{Row: "recover/pool", NsPerOp: recoverPool},
+		{Row: "recover/journal", NsPerOp: recoverJournal},
+		entry("session", session),
+		entry("session/admit", sessionAdmit),
 	}
-	fmt.Fprintln(w)
-}
-
-// ResilEntries converts the rows for the bench JSON / baseline check.
-func ResilEntries(rows []ResilRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "resil", Row: r.Name, NsPerOp: r.Value})
+	notes := map[string]string{
+		"probe":           "   (idle watchdog cost per probe)",
+		"recover/pool":    "   (teardown + rebuild, detection excluded)",
+		"recover/journal": "   (teardown + rebuild, detection excluded)",
+		"session/admit":   "   (admission gates engaged, none rejecting)",
 	}
-	return es
+	printRows(w, fmt.Sprintf("Self-healing worldd (%d injected crashes per recovery row):", resilKills),
+		es, func(e BenchEntry) string { return "ns" + notes[e.Row] })
+	return es, nil
 }

@@ -4,39 +4,49 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"time"
 
 	"interpose/internal/core"
 	"interpose/internal/kernel"
 )
 
-// The scalability table: the Table 3-3 make workload run with mk -j N for
-// increasing N, on a kernel whose big lock has been split into per-object
-// locks. Each parallel job is a separate interposed process hammering
-// fork/exec/open/stat against shared directories, so the speedup from -j
-// is a direct measurement of how much true concurrency the fine-grained
-// kernel and per-inode VFS locking admit. On a single-CPU host the table
-// still validates correctness (elapsed times stay flat rather than
-// degrading); the speedup column only becomes meaningful with multiple
-// scheduler threads available.
+// The scalability table ("scale"): the Table 3-3 make workload run with
+// mk -j N for increasing N, on a kernel whose big lock has been split
+// into per-object locks. Each parallel job is a separate interposed
+// process hammering fork/exec/open/stat against shared directories, so
+// the speedup from -j is a direct measurement of how much true
+// concurrency the fine-grained kernel and per-inode VFS locking admit.
+// On a single-CPU host the table still validates correctness (elapsed
+// times stay flat rather than degrading); the speedup column only
+// becomes meaningful with multiple scheduler threads available.
+//
+// Two more rows measure the pathname cache: a stat-heavy parallel
+// workload (StatHeavyJobs guests each performing StatHeavyOps stat calls
+// on the same path) with the VFS name/attribute cache on and off. Their
+// speedup is over the cache-off row, so the cache-on row reads directly
+// as the cache's speedup factor.
+var scaleTable = Table{Name: "scale", run: runScale}
 
 // ScaleJobs is the job-count ladder of the scale table.
 var ScaleJobs = []int{1, 2, 4, 8}
 
-// ScaleRow is one row of the scalability table: elapsed time for mk -j J
-// and the speedup relative to the serial (-j 1) row.
-type ScaleRow struct {
-	Jobs    int
-	Agent   string
-	Elapsed time.Duration
-	Speedup float64 // serial elapsed / this elapsed
-}
+// StatHeavyJobs is the parallelism of the stat-heavy workload rows.
+const StatHeavyJobs = 4
 
-// RunScale measures mk -j N over the job ladder, for the bare kernel and
-// under the trace agent stack (showing interposition composes with
-// concurrency). Rounds are interleaved across configurations, after one
-// discarded warm-up round each, mirroring measureStacks.
-func RunScale(runs, programs int) ([]ScaleRow, error) {
+// StatHeavyOps is the number of stat calls each parallel job performs.
+const StatHeavyOps = 20000
+
+// runScale measures mk -j N over the job ladder for the bare kernel, and
+// at -j 4 under the trace agent stack (showing interposition composes
+// with concurrency), then the stat-heavy rows; a row is named
+// j<jobs>-<configuration>.
+func runScale(w io.Writer, runs, programs int) ([]BenchEntry, error) {
+	type env struct {
+		k      *kernel.Kernel
+		agents []core.Agent
+		jobs   int
+	}
 	type cfg struct {
 		jobs  int
 		stack string
@@ -46,12 +56,8 @@ func RunScale(runs, programs int) ([]ScaleRow, error) {
 		cfgs = append(cfgs, cfg{j, "none"})
 	}
 	cfgs = append(cfgs, cfg{4, "trace"})
-
-	type env struct {
-		k      *kernel.Kernel
-		agents []core.Agent
-	}
-	envs := make(map[cfg]*env, len(cfgs))
+	envs := map[string]env{}
+	var makeRows []string
 	for _, c := range cfgs {
 		k, err := World()
 		if err != nil {
@@ -64,73 +70,35 @@ func RunScale(runs, programs int) ([]ScaleRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		envs[c] = &env{k: k, agents: agents}
+		row := fmt.Sprintf("j%d-%s", c.jobs, c.stack)
+		envs[row] = env{k, agents, c.jobs}
+		makeRows = append(makeRows, row)
 	}
-
-	work := func(c cfg) (time.Duration, error) {
-		e := envs[c]
+	makes, err := interleavedMean(runs, makeRows, func(row string) (time.Duration, error) {
+		e := envs[row]
 		if err := CleanMake(e.k, programs); err != nil {
 			return 0, err
 		}
-		return RunMakeJ(e.k, e.agents, c.jobs)
+		return RunMakeJ(e.k, e.agents, e.jobs)
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	totals := make(map[cfg]time.Duration, len(cfgs))
-	for _, c := range cfgs {
-		if _, err := work(c); err != nil {
-			return nil, fmt.Errorf("scale table (j=%d, %s): %w", c.jobs, c.stack, err)
-		}
+	statRows := []string{
+		fmt.Sprintf("j%d-stat-cache-on", StatHeavyJobs),
+		fmt.Sprintf("j%d-stat-cache-off", StatHeavyJobs),
 	}
-	for r := 0; r < runs; r++ {
-		for _, c := range cfgs {
-			runtime.GC()
-			d, err := work(c)
-			if err != nil {
-				return nil, fmt.Errorf("scale table (j=%d, %s): %w", c.jobs, c.stack, err)
-			}
-			totals[c] += d
-		}
-	}
-
-	rows := make([]ScaleRow, 0, len(cfgs))
-	for _, c := range cfgs {
-		rows = append(rows, ScaleRow{Jobs: c.jobs, Agent: c.stack, Elapsed: totals[c] / time.Duration(runs)})
-	}
-	serial := rows[0].Elapsed
-	for i := range rows {
-		if rows[i].Elapsed > 0 {
-			rows[i].Speedup = float64(serial) / float64(rows[i].Elapsed)
-		}
-	}
-	return rows, nil
-}
-
-// StatHeavyJobs is the parallelism of the stat-heavy workload rows.
-const StatHeavyJobs = 4
-
-// StatHeavyOps is the number of stat calls each parallel job performs.
-const StatHeavyOps = 20000
-
-// RunStatHeavy measures the pathname-cache rows of the scale table: a
-// stat-heavy parallel workload (StatHeavyJobs guests each performing
-// StatHeavyOps stat calls on the same path) with the VFS name/attribute
-// cache on and off. The Speedup column reports cache-off elapsed over
-// this row's elapsed, so the cache-on row directly reads as the cache's
-// speedup factor. Rounds are interleaved after one discarded warm-up.
-func RunStatHeavy(runs int) ([]ScaleRow, error) {
-	cfgs := []bool{true, false} // cache on, cache off
-	envs := make(map[bool]*kernel.Kernel, len(cfgs))
-	for _, on := range cfgs {
+	for i, row := range statRows {
 		k, err := World()
 		if err != nil {
 			return nil, err
 		}
-		k.FS().SetNameCache(on)
-		envs[on] = k
+		k.FS().SetNameCache(i == 0)
+		envs[row] = env{k: k}
 	}
-
-	work := func(on bool) (time.Duration, error) {
-		k := envs[on]
+	stats, err := interleavedMean(runs, statRows, func(row string) (time.Duration, error) {
+		k := envs[row].k
 		start := time.Now()
 		procs := make([]*kernel.Proc, 0, StatHeavyJobs)
 		argv := []string{"bench", "stat", fmt.Sprint(StatHeavyOps)}
@@ -145,63 +113,28 @@ func RunStatHeavy(runs int) ([]ScaleRow, error) {
 			k.WaitExit(p)
 		}
 		return time.Since(start), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	totals := make(map[bool]time.Duration, len(cfgs))
-	for _, on := range cfgs {
-		if _, err := work(on); err != nil {
-			return nil, fmt.Errorf("stat-heavy (cache=%v): %w", on, err)
-		}
-	}
-	for r := 0; r < runs; r++ {
-		for _, on := range cfgs {
-			runtime.GC()
-			d, err := work(on)
-			if err != nil {
-				return nil, fmt.Errorf("stat-heavy (cache=%v): %w", on, err)
-			}
-			totals[on] += d
-		}
-	}
-
-	label := map[bool]string{true: "stat-cache-on", false: "stat-cache-off"}
-	rows := make([]ScaleRow, 0, len(cfgs))
-	for _, on := range cfgs {
-		rows = append(rows, ScaleRow{
-			Jobs:    StatHeavyJobs,
-			Agent:   label[on],
-			Elapsed: totals[on] / time.Duration(runs),
-		})
-	}
-	off := totals[false] / time.Duration(runs)
-	for i := range rows {
-		if rows[i].Elapsed > 0 {
-			rows[i].Speedup = float64(off) / float64(rows[i].Elapsed)
-		}
-	}
-	return rows, nil
-}
-
-// PrintScale writes the scalability table.
-func PrintScale(w io.Writer, programs int, rows []ScaleRow) {
 	fmt.Fprintf(w, "Scale: parallel make of %d programs (mk -j N), GOMAXPROCS=%d\n\n",
 		programs, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "  %-6s %-12s %12s %10s\n", "Jobs", "Agent Name", "Elapsed", "Speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-6d %-12s %12s %9.2fx\n", r.Jobs, r.Agent, fmtDur(r.Elapsed), r.Speedup)
-	}
+	printSpeedups(w, makes, makes[0])
+	printSpeedups(w, stats, stats[1])
 	fmt.Fprintln(w)
+	return append(makes, stats...), nil
 }
 
-// ScaleEntries converts scale rows to bench entries.
-func ScaleEntries(rows []ScaleRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{
-			Table:   "scale",
-			Row:     fmt.Sprintf("j%d-%s", r.Jobs, r.Agent),
-			NsPerOp: r.Elapsed.Nanoseconds(),
-		})
+// printSpeedups writes scale rows with their speedup over base.
+func printSpeedups(w io.Writer, es []BenchEntry, base BenchEntry) {
+	for _, e := range es {
+		jobs, cfg, _ := strings.Cut(strings.TrimPrefix(e.Row, "j"), "-")
+		speedup := 0.0
+		if e.NsPerOp > 0 {
+			speedup = float64(base.NsPerOp) / float64(e.NsPerOp)
+		}
+		fmt.Fprintf(w, "  %-6s %-12s %12s %9.2fx\n", jobs, cfg, fmtDur(time.Duration(e.NsPerOp)), speedup)
 	}
-	return es
 }

@@ -181,7 +181,7 @@ func CountKernelTraceHooks() (int, error) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if ok && (sel.Sel.Name == "trace" || sel.Sel.Name == "traceLocked") {
+			if ok && sel.Sel.Name == "trace" {
 				hooks++
 			}
 			return true

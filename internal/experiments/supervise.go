@@ -1,55 +1,43 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
 	"time"
 
 	"interpose/internal/kernel"
-	"interpose/internal/sys"
 )
 
 // The supervision cost table ("sup"): what the agent supervisor costs at
 // each point of the dispatch path. The contract under test is
 // pay-per-use — installing a supervisor must not slow the uninterposed
-// fast path (idle vs off), and the supervised interposed leg should add
-// only the containment bookkeeping (strict vs layer). The deadline row
-// shows the price of the goroutine-per-upcall variant, which is why
-// deadlines default to off.
+// fast path (idle vs off, one atomic plan load), and the supervised
+// interposed leg should add only the containment bookkeeping (strict vs
+// layer). Both idle and strict are guarded against the baseline. The
+// deadline row shows the price of the goroutine-per-upcall variant,
+// which is why deadlines default to off.
+var supTable = Table{Name: "sup", run: runSup,
+	Guards: []string{"getpid()/idle", "getpid()/strict"}}
 
-// SupRow is one measured supervision configuration.
-type SupRow struct {
-	Name string
-	Per  time.Duration
-}
-
-// RunSupervised measures the supervision cost rows, each in a fresh
-// world so caches and plans cannot leak across configurations.
-func RunSupervised() ([]SupRow, error) {
-	type cfg struct {
-		name      string
+// runSup measures each configuration in a fresh world so caches and
+// plans cannot leak across configurations.
+func runSup(w io.Writer, _, _ int) ([]BenchEntry, error) {
+	cfgs := []struct {
+		row       string
 		layer     bool // install a pass-through layer on the call path
 		supervise bool
 		deadline  time.Duration
+	}{
+		{row: "getpid()/off"},
+		{row: "getpid()/idle", supervise: true},
+		{row: "getpid()/layer", layer: true},
+		{row: "getpid()/strict", layer: true, supervise: true},
+		{row: "getpid()/deadline", layer: true, supervise: true, deadline: time.Second},
 	}
-	cfgs := []cfg{
-		{name: "getpid()/off"},
-		{name: "getpid()/idle", supervise: true},
-		{name: "getpid()/layer", layer: true},
-		{name: "getpid()/strict", layer: true, supervise: true},
-		{name: "getpid()/deadline", layer: true, supervise: true, deadline: time.Second},
-	}
-	var rows []SupRow
+	var es []BenchEntry
 	for _, c := range cfgs {
 		k, err := World()
 		if err != nil {
 			return nil, err
-		}
-		p := measureProc(k)
-		if c.layer {
-			layer := kernel.NewEmuLayer(passThrough{})
-			layer.RegisterAll()
-			p.PushEmulation(layer)
 		}
 		if c.supervise {
 			k.SetSupervisor(kernel.NewSupervisor(k, kernel.SupervisorConfig{
@@ -57,29 +45,8 @@ func RunSupervised() ([]SupRow, error) {
 				Deadline: c.deadline,
 			}))
 		}
-		rows = append(rows, SupRow{
-			Name: c.name,
-			Per:  Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) }),
-		})
+		es = append(es, entry(c.row, getpidCost(k, c.layer)))
 	}
-	return rows, nil
-}
-
-// PrintSup renders the supervision cost table.
-func PrintSup(w io.Writer, rows []SupRow) {
-	fmt.Fprintln(w, "Supervision cost (getpid, host-driven):")
-	fmt.Fprintf(w, "  %-34s %12s\n", "configuration", "per call")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-34s %12v\n", r.Name, r.Per)
-	}
-	fmt.Fprintln(w)
-}
-
-// SupEntries converts the rows for the bench JSON / baseline check.
-func SupEntries(rows []SupRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "sup", Row: r.Name, NsPerOp: r.Per.Nanoseconds()})
-	}
-	return es
+	printRows(w, "Supervision cost (getpid, host-driven, per call):", es, nil)
+	return es, nil
 }

@@ -3,64 +3,37 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
+	"interpose/internal/agents/dfstrace"
 	"interpose/internal/core"
 	"interpose/internal/kernel"
 )
 
-// MacroRow is one row of an application-level table: elapsed time under an
-// agent configuration and the slowdown relative to the no-agent row.
-type MacroRow struct {
-	Agent    string
-	Elapsed  time.Duration
-	Slowdown float64 // percent over "none"
+// The agent sizes table (Table 3-1): static statement counts, no rows to
+// time.
+var table31 = Table{Name: "3-1", run: func(w io.Writer, _, _ int) ([]BenchEntry, error) {
+	rows, err := RunTable31()
+	if err != nil {
+		return nil, err
+	}
+	PrintTable31(w, rows)
+	return nil, nil
+}}
+
+// PrintTable31 writes the agent-sizes table.
+func PrintTable31(w io.Writer, rows []Table31Row) {
+	fmt.Fprintf(w, "Table 3-1: Sizes of agents, measured in Go statements\n\n")
+	fmt.Fprintf(w, "  %-8s %10s %10s %10s\n", "Agent", "Toolkit", "Agent", "Total")
+	fmt.Fprintf(w, "  %-8s %10s %10s %10s\n", "Name", "Statements", "Statements", "Statements")
+	for _, r := range rows {
+		fmt.Fprintf(w, "  %-8s %10d %10d %10d\n", r.Agent, r.Toolkit, r.Specific, r.Total)
+	}
+	fmt.Fprintln(w)
 }
 
 // MacroStacks is the agent order of Tables 3-2 and 3-3.
 var MacroStacks = []string{"none", "timex", "trace", "union"}
-
-// measureStacks times one unit of work per agent stack, interleaving the
-// stacks round-robin across `runs` rounds (after one discarded round per
-// stack, as the paper discards an initial run) so that process-wide drift
-// — allocator growth, scheduler warmup — spreads evenly instead of
-// penalizing whichever stack went first. The garbage collector runs
-// between measurements.
-func measureStacks(runs int, stacks []string, work func(stack string) (time.Duration, error)) ([]MacroRow, error) {
-	totals := make(map[string]time.Duration, len(stacks))
-	// Discarded warm-up round.
-	for _, s := range stacks {
-		if _, err := work(s); err != nil {
-			return nil, err
-		}
-	}
-	for r := 0; r < runs; r++ {
-		for _, s := range stacks {
-			runtime.GC()
-			d, err := work(s)
-			if err != nil {
-				return nil, err
-			}
-			totals[s] += d
-		}
-	}
-	rows := make([]MacroRow, 0, len(stacks))
-	for _, s := range stacks {
-		rows = append(rows, MacroRow{Agent: s, Elapsed: totals[s] / time.Duration(runs)})
-	}
-	return rows, nil
-}
-
-func fillSlowdowns(rows []MacroRow) {
-	base := rows[0].Elapsed
-	for i := range rows {
-		if i == 0 || base == 0 {
-			continue
-		}
-		rows[i].Slowdown = 100 * float64(rows[i].Elapsed-base) / float64(base)
-	}
-}
 
 // macroEnv holds the per-stack world prepared for a macro table.
 type macroEnv struct {
@@ -89,33 +62,33 @@ func prepareEnvs(stacks []string, setup func(k *kernel.Kernel) (string, error)) 
 	return envs, nil
 }
 
-// RunTable32 measures "format my dissertation" under each agent stack,
-// averaging `runs` interleaved timed repetitions after a discarded round.
-func RunTable32(runs int) ([]MacroRow, error) {
+// Table 3-2: "format my dissertation" under each agent stack, one world
+// per stack, the stacks' rounds interleaved.
+var table32 = Table{Name: "3-2", run: func(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 	envs, err := prepareEnvs(MacroStacks, SetupScribe)
 	if err != nil {
 		return nil, err
 	}
-	rows, err := measureStacks(runs, MacroStacks, func(stack string) (time.Duration, error) {
+	es, err := interleavedMean(runs, MacroStacks, func(stack string) (time.Duration, error) {
 		e := envs[stack]
 		return RunScribe(e.k, e.agents, e.manuscript)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("table 3-2: %w", err)
+		return nil, err
 	}
-	fillSlowdowns(rows)
-	return rows, nil
-}
+	printSlowdown(w, "Table 3-2: Time to format the dissertation", es)
+	return es, nil
+}}
 
-// RunTable33 measures "make N programs" under each agent stack.
-func RunTable33(runs, programs int) ([]MacroRow, error) {
+// Table 3-3: "make N programs" under each agent stack.
+var table33 = Table{Name: "3-3", run: func(w io.Writer, runs, programs int) ([]BenchEntry, error) {
 	envs, err := prepareEnvs(MacroStacks, func(k *kernel.Kernel) (string, error) {
 		return "", SetupMake(k, programs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows, err := measureStacks(runs, MacroStacks, func(stack string) (time.Duration, error) {
+	es, err := interleavedMean(runs, MacroStacks, func(stack string) (time.Duration, error) {
 		e := envs[stack]
 		if err := CleanMake(e.k, programs); err != nil {
 			return 0, err
@@ -123,86 +96,94 @@ func RunTable33(runs, programs int) ([]MacroRow, error) {
 		return RunMake(e.k, e.agents)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("table 3-3: %w", err)
+		return nil, err
 	}
-	fillSlowdowns(rows)
-	return rows, nil
-}
+	printSlowdown(w, fmt.Sprintf("Table 3-3: Time to make %d programs", programs), es)
+	return es, nil
+}}
 
-// Printing helpers shared by cmd/experiments and EXPERIMENTS.md updates.
-
-// PrintMacro writes a Table 3-2/3-3 style table.
-func PrintMacro(w io.Writer, title string, rows []MacroRow) {
+// printSlowdown writes a Table 3-2/3-3 style table: each row's elapsed
+// time and its slowdown over the first row.
+func printSlowdown(w io.Writer, title string, es []BenchEntry) {
 	fmt.Fprintf(w, "%s\n\n", title)
 	fmt.Fprintf(w, "  %-12s %12s %12s\n", "Agent Name", "Elapsed", "% Slowdown")
-	for _, r := range rows {
-		if r.Agent == "none" {
-			fmt.Fprintf(w, "  %-12s %12s %12s\n", r.Agent, fmtDur(r.Elapsed), "")
+	for i, e := range es {
+		d := fmtDur(time.Duration(e.NsPerOp))
+		if i == 0 {
+			fmt.Fprintf(w, "  %-12s %12s %12s\n", e.Row, d, "")
 			continue
 		}
-		fmt.Fprintf(w, "  %-12s %12s %11.1f%%\n", r.Agent, fmtDur(r.Elapsed), r.Slowdown)
+		fmt.Fprintf(w, "  %-12s %12s %11.1f%%\n", e.Row, d, slowdown(e, es[0]))
 	}
 	fmt.Fprintln(w)
 }
 
-// PrintTable31 writes the agent-sizes table.
-func PrintTable31(w io.Writer, rows []Table31Row) {
-	fmt.Fprintf(w, "Table 3-1: Sizes of agents, measured in Go statements\n\n")
-	fmt.Fprintf(w, "  %-8s %10s %10s %10s\n", "Agent", "Toolkit", "Agent", "Total")
-	fmt.Fprintf(w, "  %-8s %10s %10s %10s\n", "Name", "Statements", "Statements", "Statements")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-8s %10d %10d %10d\n", r.Agent, r.Toolkit, r.Specific, r.Total)
+// slowdown is e's elapsed time over base's, in percent.
+func slowdown(e, base BenchEntry) float64 {
+	if base.NsPerOp == 0 {
+		return 0
 	}
-	fmt.Fprintln(w)
+	return 100 * float64(e.NsPerOp-base.NsPerOp) / float64(base.NsPerOp)
 }
 
-// PrintTable34 writes the low-level operations table.
-func PrintTable34(w io.Writer, t Table34) {
-	fmt.Fprintf(w, "Table 3-4: Performance of low-level operations\n\n")
-	fmt.Fprintf(w, "  %-52s %10s\n", "Operation", "per op")
-	fmt.Fprintf(w, "  %-52s %10s\n", "Go procedure call with 1 arg, result", fmtDur(t.ProcedureCall))
-	fmt.Fprintf(w, "  %-52s %10s\n", "Interface (virtual) call with 1 arg, result", fmtDur(t.InterfaceCall))
-	fmt.Fprintf(w, "  %-52s %10s\n", "Intercept and return from system call", fmtDur(t.InterceptReturn))
-	fmt.Fprintf(w, "  %-52s %10s\n", "Downcall (htg_unix_syscall) overhead", fmtDur(t.Downcall))
-	fmt.Fprintln(w)
-}
+// The DFSTrace comparison (paper §3.5.3): the AFS-shaped workload
+// untraced, under the kernel's compiled-in tracer, and under the
+// dfstrace agent, the three interleaved across dfsRounds rounds, plus the
+// statement counts of the two implementations.
+var dfsTable = Table{Name: "dfs", run: runDFS}
 
-// PrintTable35 writes the per-system-call table.
-func PrintTable35(w io.Writer, rows []Table35Row) {
-	fmt.Fprintf(w, "Table 3-5: Performance of individual system calls\n\n")
-	fmt.Fprintf(w, "  %-28s %12s %12s %12s\n", "Operation", "without", "with agent", "toolkit ovh")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-28s %12s %12s %12s\n", r.Name, fmtDur(r.Without), fmtDur(r.With), fmtDur(r.Overhead))
+// dfsRounds is the dfs table's timed round count, fixed whatever -runs
+// says.
+const dfsRounds = 9
+
+func runDFS(w io.Writer, _, _ int) ([]BenchEntry, error) {
+	k, err := World()
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintln(w)
+	if err := SetupMake(k, 2); err != nil {
+		return nil, err
+	}
+	kcl := dfstrace.NewCollector()
+	acl := dfstrace.NewCollector()
+	agent := dfstrace.New(acl)
+	es, err := interleavedMean(dfsRounds, []string{"untraced", "kernel-based", "dfstrace-agent"},
+		func(row string) (time.Duration, error) {
+			switch row {
+			case "untraced":
+				return DFSTraceWorkload(k, nil)
+			case "kernel-based":
+				kcl.Reset()
+				k.SetTracer(dfstrace.NewKernelTracer(kcl))
+				defer k.SetTracer(nil)
+				return DFSTraceWorkload(k, nil)
+			default:
+				acl.Reset()
+				return DFSTraceWorkload(k, []core.Agent{agent})
+			}
+		})
+	if err != nil {
+		return nil, err
+	}
+	kStmts, aStmts, err := DFSTraceSizes()
+	if err != nil {
+		return nil, err
+	}
+	printDFSTrace(w, es, kcl.Len(), acl.Len(), kStmts, aStmts)
+	return es, nil
 }
 
-// PrintDFSTrace writes the §3.5.3 comparison.
-func PrintDFSTrace(w io.Writer, r DFSTraceResult, kernelStmts, agentStmts int) {
+// printDFSTrace writes the rows of runDFS with the record counts of the
+// last traced rounds and the implementation sizes.
+func printDFSTrace(w io.Writer, es []BenchEntry, kernelRecords, agentRecords, kernelStmts, agentStmts int) {
 	fmt.Fprintf(w, "DFSTrace comparison (paper §3.5.3)\n\n")
-	slow := func(d time.Duration) float64 {
-		if r.Base == 0 {
-			return 0
-		}
-		return 100 * float64(d-r.Base) / float64(r.Base)
-	}
 	fmt.Fprintf(w, "  %-24s %12s %12s %10s\n", "Implementation", "Elapsed", "% Slowdown", "Records")
-	fmt.Fprintf(w, "  %-24s %12s %12s %10s\n", "untraced", fmtDur(r.Base), "", "")
-	fmt.Fprintf(w, "  %-24s %12s %11.1f%% %10d\n", "kernel-based", fmtDur(r.Kernel), slow(r.Kernel), r.KernelRecords)
-	fmt.Fprintf(w, "  %-24s %12s %11.1f%% %10d\n", "dfstrace agent", fmtDur(r.Agent), slow(r.Agent), r.AgentRecords)
+	fmt.Fprintf(w, "  %-24s %12s %12s %10s\n", "untraced", fmtDur(time.Duration(es[0].NsPerOp)), "", "")
+	for i, records := range []int{kernelRecords, agentRecords} {
+		e := es[i+1]
+		fmt.Fprintf(w, "  %-24s %12s %11.1f%% %10d\n",
+			e.Row, fmtDur(time.Duration(e.NsPerOp)), slowdown(e, es[0]), records)
+	}
 	fmt.Fprintf(w, "\n  Implementation sizes: kernel-based %d statements, agent-based %d statements\n\n",
 		kernelStmts, agentStmts)
-}
-
-func fmtDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-	case d >= time.Microsecond:
-		return fmt.Sprintf("%.2fµs", float64(d)/float64(time.Microsecond))
-	default:
-		return fmt.Sprintf("%dns", d.Nanoseconds())
-	}
 }

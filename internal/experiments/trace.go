@@ -1,75 +1,46 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
-	"time"
 
-	"interpose/internal/sys"
 	spantrace "interpose/internal/trace"
 )
 
 // The tracing cost table ("trace"): what the causal span tracer costs on
 // the system call fast path. The contract under test is pay-per-use —
-// with no tracer installed the only cost is one atomic pointer load
-// (off), an installed tracer sampling at 1% costs one xorshift draw on
-// the unsampled majority (sampled), and only fully sampled calls pay for
-// clock reads and span recording (full).
+// with no tracer installed the only cost is one atomic pointer load over
+// sup's off row (off), an installed tracer sampling at 1% costs one
+// xorshift draw on the unsampled majority (sampled), and only fully
+// sampled calls pay for clock reads and span recording (full). Off and
+// sampled are guarded against the baseline.
+var traceTable = Table{Name: "trace", run: runTrace,
+	Guards: []string{"getpid()/off", "getpid()/sampled"}}
 
-// TraceRow is one measured tracing configuration.
-type TraceRow struct {
-	Name string
-	Per  time.Duration
-}
-
-// RunTraceTable measures the tracing cost rows, each in a fresh world so
-// sampling state and span buffers cannot leak across configurations.
-func RunTraceTable() ([]TraceRow, error) {
-	type cfg struct {
-		name   string
+// runTrace measures each configuration in a fresh world so sampling
+// state and span buffers cannot leak across configurations.
+func runTrace(w io.Writer, _, _ int) ([]BenchEntry, error) {
+	cfgs := []struct {
+		row    string
 		sample float64 // < 0 means no tracer installed
+	}{
+		{row: "getpid()/off", sample: -1},
+		{row: "getpid()/sampled", sample: 0.01},
+		{row: "getpid()/full", sample: 1},
 	}
-	cfgs := []cfg{
-		{name: "getpid()/off", sample: -1},
-		{name: "getpid()/sampled", sample: 0.01},
-		{name: "getpid()/full", sample: 1},
-	}
-	var rows []TraceRow
+	var es []BenchEntry
 	for _, c := range cfgs {
 		k, err := World()
 		if err != nil {
 			return nil, err
 		}
-		p := measureProc(k)
 		if c.sample >= 0 {
 			k.SetSpanTracer(spantrace.NewTracer(spantrace.Config{
 				Sample:     c.sample,
 				TailErrors: c.sample < 1,
 			}))
 		}
-		rows = append(rows, TraceRow{
-			Name: c.name,
-			Per:  Measure(func() { p.Syscall(sys.SYS_getpid, sys.Args{}) }),
-		})
+		es = append(es, entry(c.row, getpidCost(k, false)))
 	}
-	return rows, nil
-}
-
-// PrintTrace renders the tracing cost table.
-func PrintTrace(w io.Writer, rows []TraceRow) {
-	fmt.Fprintln(w, "Tracing cost (getpid, host-driven):")
-	fmt.Fprintf(w, "  %-34s %12s\n", "configuration", "per call")
-	for _, r := range rows {
-		fmt.Fprintf(w, "  %-34s %12v\n", r.Name, r.Per)
-	}
-	fmt.Fprintln(w)
-}
-
-// TraceEntries converts the rows for the bench JSON / baseline check.
-func TraceEntries(rows []TraceRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "trace", Row: r.Name, NsPerOp: r.Per.Nanoseconds()})
-	}
-	return es
+	printRows(w, "Tracing cost (getpid, host-driven, per call):", es, nil)
+	return es, nil
 }

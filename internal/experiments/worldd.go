@@ -19,33 +19,30 @@ import (
 // The multi-tenancy table ("worldd"): what the world lifecycle layer and
 // the daemon on top of it cost. Three claims are measured:
 //
-//   - boot: booting one world (full application set, no optional
-//     facilities) — the unit of tenant creation;
+//   - boot: booting (and closing) one world — full application set, no
+//     optional facilities — the unit of tenant creation;
 //   - session: one exec round trip through the daemon's HTTP handler —
 //     request decode, world lock, process launch, wait, response encode
 //     — which inverts to the daemon's sessions/sec on one core;
 //   - idle-mem/world: the per-world heap floor with a 10,000-world idle
 //     fleet resident in one process, measured as the GC-settled heap
-//     delta divided by the fleet size. This is the number that says
-//     whether "thousands of tenants per process" is real, and it is why
-//     telemetry registries (latency histograms, flight rings — ~150 KB
-//     a world) are opt-in per tenant rather than always-on.
+//     delta divided by the fleet size, in bytes. This is the number that
+//     says whether "thousands of tenants per process" is real, and it is
+//     why telemetry registries (latency histograms, flight rings —
+//     ~150 KB a world) are opt-in per tenant rather than always-on:
+//     anything attached unconditionally at boot shows up here multiplied
+//     by ten thousand.
 //
-// The session and idle-mem rows are guarded against BENCH_BASELINE.json
-// by the -check gate; the boot row rides along unguarded (it is noisy on
-// shared runners and the crash table already relation-guards boot cost).
-
-// WorlddRow is one measured row of the worldd table. Value is in
-// nanoseconds for the timed rows and bytes for the memory row.
-type WorlddRow struct {
-	Name  string
-	Value int64
-}
+// The session and idle-mem rows are guarded against the baseline; the
+// boot row rides along unguarded (it is noisy on shared runners, and
+// the crash, pool and resil tables relation-gate boot cost).
+var worlddTable = Table{Name: "worldd", run: runWorldd,
+	Guards: []string{"session", "idle-mem/world"}}
 
 // worlddFleet is the idle-fleet size of the idle-mem row.
 const worlddFleet = 10000
 
-// worlddSessions is the per-round session count of the session row.
+// worlddSessions is the per-round session count of the session rows.
 const worlddSessions = 200
 
 // worlddBoots is the world count of the boot row.
@@ -70,7 +67,7 @@ func apiCall(h http.Handler, method, path string, body []byte, out any) error {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code >= 300 {
-		return fmt.Errorf("worldd table: %s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
+		return fmt.Errorf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
 	}
 	if out != nil {
 		return json.Unmarshal(rec.Body.Bytes(), out)
@@ -78,121 +75,88 @@ func apiCall(h http.Handler, method, path string, body []byte, out any) error {
 	return nil
 }
 
-// RunWorlddTable measures the worldd table.
-func RunWorlddTable(runs int) ([]WorlddRow, error) {
-	// Boot: the world-layer creation cost, no daemon in the way.
-	worlds := make([]*world.World, 0, worlddBoots)
-	start := time.Now()
-	for i := 0; i < worlddBoots; i++ {
-		w, err := world.Boot(apps.Spec())
-		if err != nil {
-			return nil, fmt.Errorf("worldd table: boot: %w", err)
-		}
-		worlds = append(worlds, w)
-	}
-	bootPer := time.Since(start) / worlddBoots
-	for _, w := range worlds {
-		if err := w.Close(); err != nil {
-			return nil, fmt.Errorf("worldd table: close: %w", err)
-		}
-	}
-
-	// Session: the full daemon round trip on one long-lived tenant. One
-	// warm-up round, then runs timed rounds, like measureStacks.
-	// Health disabled: a watchdog probing a 10,000-world idle fleet
-	// would measure the probes, not the daemon (the resil table prices
-	// the watchdog on its own).
-	srv, err := worldd.New(worldd.Config{
-		Register: apps.Register,
-		Health:   worldd.HealthConfig{Disabled: true},
-	})
+// measureSessions creates one tenant from spec in a daemon configured
+// by cfg and times the exec round trip of /bin/true through the
+// daemon's handler: worlddSessions sessions a round, best of runs.
+func measureSessions(runs int, cfg worldd.Config, spec []byte) (time.Duration, error) {
+	srv, err := worldd.New(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("worldd table: %w", err)
+		return 0, err
 	}
+	defer srv.Shutdown(context.Background())
 	h := srv.Handler()
 	var info worldd.Info
-	if err := apiCall(h, "POST", "/1.0/worlds", []byte(`{"name":"bench"}`), &info); err != nil {
-		return nil, err
+	if err := apiCall(h, "POST", "/1.0/worlds", spec, &info); err != nil {
+		return 0, err
 	}
-	execBody := []byte(`{"argv":["true"]}`)
-	session := func() (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < worlddSessions; i++ {
+	execPath, execBody := "/1.0/worlds/"+info.ID+"/exec", []byte(`{"argv":["true"]}`)
+	return bestOf(runs, func() (time.Duration, error) {
+		return perOp(worlddSessions, func() error {
 			var res world.ExecResult
-			if err := apiCall(h, "POST", "/1.0/worlds/"+info.ID+"/exec", execBody, &res); err != nil {
-				return 0, err
+			if err := apiCall(h, "POST", execPath, execBody, &res); err != nil {
+				return err
 			}
 			if res.Status != 0 {
-				return 0, fmt.Errorf("worldd table: session exited %d", res.Status)
+				return fmt.Errorf("session exited %d", res.Status)
 			}
-		}
-		return time.Since(start), nil
-	}
-	if _, err := session(); err != nil { // warm-up
+			return nil
+		})
+	})
+}
+
+func runWorldd(w io.Writer, runs, _ int) ([]BenchEntry, error) {
+	boot, err := bootClose(worlddBoots)
+	if err != nil {
 		return nil, err
 	}
-	// Best-of-runs, with a GC before each round: the 500-boot loop above
-	// leaves a heap's worth of dead worlds, and this row is guarded by
-	// the baseline gate — a mean would let one collection pause or
-	// scheduler stall on a shared runner read as a regression, while the
-	// best round is the cost the daemon actually pays.
-	var sessionBest time.Duration
-	for r := 0; r < runs; r++ {
-		runtime.GC()
-		d, err := session()
-		if err != nil {
-			return nil, err
-		}
-		if r == 0 || d < sessionBest {
-			sessionBest = d
-		}
+
+	// Health disabled in both daemons: a watchdog probing a 10,000-world
+	// idle fleet would measure the probes, not the daemon (the resil
+	// table prices the watchdog on its own).
+	cfg := worldd.Config{
+		Register: apps.Register,
+		Health:   worldd.HealthConfig{Disabled: true},
 	}
-	sessionPer := sessionBest / worlddSessions
+	session, err := measureSessions(runs, cfg, []byte(`{"name":"bench"}`))
+	if err != nil {
+		return nil, err
+	}
 
 	// Idle fleet: the per-world heap floor at 10k worlds, created and
 	// later drained through the daemon itself so the table and teardown
 	// paths are the ones a deployment pays.
+	srv, err := worldd.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	h := srv.Handler()
 	base := heapAlloc()
 	createBody := []byte(`{"name":"idle"}`)
 	for i := 0; i < worlddFleet; i++ {
 		if err := apiCall(h, "POST", "/1.0/worlds", createBody, nil); err != nil {
+			srv.Shutdown(context.Background())
 			return nil, err
 		}
 	}
 	perWorld := int64((heapAlloc() - base) / worlddFleet)
 	if err := srv.Shutdown(context.Background()); err != nil {
-		return nil, fmt.Errorf("worldd table: drain: %w", err)
+		return nil, fmt.Errorf("drain: %w", err)
 	}
 
-	return []WorlddRow{
-		{Name: "boot", Value: bootPer.Nanoseconds()},
-		{Name: "session", Value: sessionPer.Nanoseconds()},
-		{Name: "idle-mem/world", Value: perWorld},
-	}, nil
-}
-
-// PrintWorldd renders the worldd table.
-func PrintWorldd(w io.Writer, rows []WorlddRow) {
-	fmt.Fprintf(w, "Multi-tenant worlds (lifecycle layer + worldd, %d-world idle fleet):\n", worlddFleet)
-	for _, r := range rows {
-		switch r.Name {
-		case "session":
-			fmt.Fprintf(w, "  %-16s %10dns   (%.0f sessions/sec)\n", r.Name, r.Value, 1e9/float64(r.Value))
-		case "idle-mem/world":
-			fmt.Fprintf(w, "  %-16s %10dB   (%.1f MB for the fleet)\n", r.Name, r.Value,
-				float64(r.Value)*worlddFleet/1e6)
-		default:
-			fmt.Fprintf(w, "  %-16s %10dns\n", r.Name, r.Value)
-		}
+	es := []BenchEntry{
+		entry("boot", boot),
+		entry("session", session),
+		{Row: "idle-mem/world", NsPerOp: perWorld},
 	}
-	fmt.Fprintln(w)
-}
-
-// WorlddEntries converts the rows for the bench JSON / baseline check.
-func WorlddEntries(rows []WorlddRow) []BenchEntry {
-	var es []BenchEntry
-	for _, r := range rows {
-		es = append(es, BenchEntry{Table: "worldd", Row: r.Name, NsPerOp: r.Value})
-	}
-	return es
+	printRows(w, fmt.Sprintf("Multi-tenant worlds (lifecycle layer + worldd, %d-world idle fleet):", worlddFleet),
+		es, func(e BenchEntry) string {
+			switch e.Row {
+			case "session":
+				return fmt.Sprintf("ns   (%.0f sessions/sec)", 1e9/float64(e.NsPerOp))
+			case "idle-mem/world":
+				return fmt.Sprintf("B    (%.1f MB for the fleet)", float64(e.NsPerOp)*worlddFleet/1e6)
+			}
+			return "ns"
+		})
+	return es, nil
 }

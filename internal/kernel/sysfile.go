@@ -345,7 +345,7 @@ func (k *Kernel) sysLseek(p *Proc, a sys.Args) (sys.Retval, sys.Errno) {
 	}
 	f.off = pos
 	f.dirEOF = false
-	k.traceLocked(p, "seek", "", "", fd, sys.OK)
+	k.trace(p, "seek", "", "", fd, sys.OK)
 	return sys.Retval{sys.Word(pos)}, sys.OK
 }
 

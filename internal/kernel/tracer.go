@@ -45,10 +45,3 @@ func (k *Kernel) trace(p *Proc, op, path, path2 string, fd int, err sys.Errno) {
 		r.RecordFileEvent(p.pid, op, path, path2, fd, int32(err))
 	}
 }
-
-// traceLocked is trace for call sites holding the big kernel lock.
-func (k *Kernel) traceLocked(p *Proc, op, path, path2 string, fd int, err sys.Errno) {
-	// The consumers must not call back into the kernel; emitting under the
-	// lock is safe for the provided collectors and the flight ring.
-	k.trace(p, op, path, path2, fd, err)
-}
