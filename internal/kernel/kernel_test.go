@@ -640,6 +640,47 @@ func TestRusageCountsSyscalls(t *testing.T) {
 	}
 }
 
+// TestWaitRusageMaxrss pins that a reaped child's Maxrss is the resident
+// size it exited with, although exit returns the child's pages for reuse
+// before the parent reaps it. The child touches eight fresh heap pages,
+// reads its own Maxrss and exits with it (in pages) as its status, issuing
+// no further call that could touch memory; wait4 and getrusage
+// (RUSAGE_CHILDREN) in the parent must both report the same figure.
+func TestWaitRusageMaxrss(t *testing.T) {
+	const touched = 8
+	st, out := runFn(t, func(lt *libc.T) int {
+		pid, err := lt.Fork(func(ct *libc.T) {
+			heap := ct.Malloc(touched * sys.PageSize)
+			ct.Proc().CopyOut(heap, make([]byte, touched*sys.PageSize))
+			ct.Getrusage(sys.RUSAGE_SELF) // touch the result buffer first
+			ru, _ := ct.Getrusage(sys.RUSAGE_SELF)
+			ct.Syscall(sys.SYS_exit, sys.Word(ru.Maxrss*1024/sys.PageSize))
+		})
+		if err != sys.OK {
+			return 1
+		}
+		ruAddr := lt.Malloc(sys.RusageSize)
+		stAddr := lt.Malloc(4)
+		if _, err := lt.Syscall(sys.SYS_wait4, sys.Word(pid), stAddr, 0, ruAddr); err != sys.OK {
+			return 2
+		}
+		var b [sys.RusageSize]byte
+		lt.Proc().CopyIn(ruAddr, b[:])
+		waitRu := sys.DecodeRusage(b[:])
+		var sb [4]byte
+		lt.Proc().CopyIn(stAddr, sb[:])
+		pages := int(sys.WExitStatus(sys.Word(sb[0]) | sys.Word(sb[1])<<8))
+		childRu, _ := lt.Getrusage(sys.RUSAGE_CHILDREN)
+		lt.Printf("pages>=touched=%v wait4=%v children=%v\n", pages >= touched,
+			int(waitRu.Maxrss) == pages*sys.PageSize/1024,
+			int(childRu.Maxrss) == pages*sys.PageSize/1024)
+		return 0
+	})
+	if out := expectOK(t, st, out); out != "pages>=touched=true wait4=true children=true\n" {
+		t.Fatalf("out = %q", out)
+	}
+}
+
 func TestInterpreterChain(t *testing.T) {
 	// A script whose interpreter is itself a script resolves through the
 	// chain (bounded).

@@ -161,6 +161,12 @@ type Proc struct {
 	// reaping parent in wait4, also under k.pmu (the wait causal edge).
 	exitSpan uint64
 
+	// exitPages is the resident page count when the process exited,
+	// recorded by finishExit before it releases the address space and
+	// before the zombie transition; rusageSelf reports Maxrss from it
+	// once the (atomic) state says the process has exited.
+	exitPages int
+
 	// sigCauseTrace/sigCauseSpan identify the poster's open span for the
 	// next delivered signal (the signal post→deliver causal edge).
 	// Guarded by sigMu.
@@ -258,16 +264,16 @@ func (k *Kernel) allocPID() int {
 	return pid
 }
 
-// newProc builds a fully initialized process that is NOT yet in the
-// process table. Callers populate inherited state and then publish it
-// with publishProc, so no concurrent kill or wait can observe a
-// half-constructed process.
-func (k *Kernel) newProc(pid int) *Proc {
+// newProc builds a fully initialized process with address space as that
+// is NOT yet in the process table. Callers populate inherited state and
+// then publish it with publishProc, so no concurrent kill or wait can
+// observe a half-constructed process.
+func (k *Kernel) newProc(pid int, as *mem.AS) *Proc {
 	p := &Proc{
 		k:         k,
 		pid:       pid,
 		pgrp:      pid,
-		as:        mem.NewAS(),
+		as:        as,
 		cwd:       k.fs.Root(),
 		root:      k.fs.Root(),
 		fds:       make([]fdesc, sys.OpenMax),

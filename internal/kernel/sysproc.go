@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"interpose/internal/image"
+	"interpose/internal/mem"
 	"interpose/internal/sys"
 )
 
@@ -53,6 +54,13 @@ func (k *Kernel) finishExit(p *Proc, status sys.Word) {
 		}
 	}
 
+	// Return the address space's pages for reuse, keeping the resident
+	// count for rusage. A killed process may run on until its next
+	// system call; any page it touches after this is a fresh zero page
+	// the garbage collector reclaims.
+	p.exitPages = p.as.Pages()
+	p.as.Release()
+
 	k.pmu.Lock()
 	// Reparent live children to pid 1; orphaned zombies are reaped now.
 	init := k.procs[1]
@@ -86,8 +94,8 @@ func (k *Kernel) finishExit(p *Proc, status sys.Word) {
 		init.childQ.wakeAll()
 	}
 	if parent, ok := k.procs[p.ppid]; ok && p.ppid != 0 {
-		k.postSignalPLocked(parent, sys.SIGCHLD)
 		noteSigCause(parent, p.traceID.Load(), p.curSpan.Load())
+		k.postSignalPLocked(parent, sys.SIGCHLD)
 		parent.childQ.wakeAll()
 	}
 	close(p.exitDone) // host-side WaitExit callers unblock here
@@ -95,14 +103,19 @@ func (k *Kernel) finishExit(p *Proc, status sys.Word) {
 }
 
 // rusageSelf computes the process's own resource usage. All inputs are
-// atomics, immutable fields, or self-locking (the address space), so no
-// kernel lock is needed.
+// atomics, immutable fields, self-locking (the address space), or
+// published before the atomic zombie transition (exitPages), so no kernel
+// lock is needed.
 func (p *Proc) rusageSelf() sys.Rusage {
 	elapsed := time.Since(p.startTime)
+	pages := p.exitPages
+	if p.loadState() < procZombie {
+		pages = p.as.Pages()
+	}
 	return sys.Rusage{
 		Utime:    durTimeval(elapsed),
 		Stime:    sys.Timeval{},
-		Maxrss:   uint32(p.as.Pages() * sys.PageSize / 1024),
+		Maxrss:   uint32(pages * sys.PageSize / 1024),
 		Nsyscall: loadUint32(&p.nsyscalls),
 	}
 }
@@ -140,8 +153,7 @@ func (k *Kernel) sysFork(p *Proc) (sys.Retval, sys.Errno) {
 	// Build the child fully before publishing it: once it is in the
 	// process table a concurrent kill or wait4 may touch it, so no field
 	// may still be half-copied at that point.
-	child := k.newProc(k.allocPID())
-	child.as = p.as.Clone()
+	child := k.newProc(k.allocPID(), p.as.Clone())
 	p.fdMu.Lock()
 	for fd := range p.fds {
 		if f := p.fds[fd].file; f != nil {
@@ -401,7 +413,7 @@ func (k *Kernel) execLoad(p *Proc, path string, argv, envp []string) (image.Entr
 
 // NewProc allocates a fresh process with no parent, for host-side spawning.
 func (k *Kernel) NewProc() *Proc {
-	p := k.newProc(k.allocPID())
+	p := k.newProc(k.allocPID(), mem.NewAS())
 	k.publishProc(p, nil)
 	return p
 }

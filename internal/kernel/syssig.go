@@ -23,10 +23,12 @@ func (k *Kernel) sysKill(p *Proc, a sys.Args) (sys.Retval, sys.Errno) {
 	}
 	post := func(t *Proc) {
 		if sig != 0 {
-			k.postSignalPLocked(t, sig)
 			// Causal tracing: remember the killer's open span so the
-			// delivery span can link back to it.
+			// delivery span can link back to it. Noted before the post:
+			// a running target may take the signal as soon as it is
+			// pending.
 			noteSigCause(t, p.traceID.Load(), p.curSpan.Load())
+			k.postSignalPLocked(t, sig)
 		}
 	}
 	alive := func(t *Proc) bool {

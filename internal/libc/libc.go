@@ -11,6 +11,8 @@ package libc
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"interpose/internal/image"
@@ -32,7 +34,7 @@ type T struct {
 	// space; the bookkeeping lives here, playing the role of the
 	// allocator's in-band metadata.
 	brk     sys.Word
-	free    map[sys.Word]sys.Word // addr → size of free blocks
+	free    []block               // free blocks, ascending by address
 	sizes   map[sys.Word]sys.Word // addr → size of allocated blocks
 	scratch sys.Word              // small fixed arena for syscall marshalling
 	ioBuf   sys.Word              // staging buffer for Read/Write
@@ -66,7 +68,6 @@ func Main(fn func(t *T) int) image.Entry {
 func Attach(p image.Proc) *T {
 	t := &T{
 		p:         p,
-		free:      make(map[sys.Word]sys.Word),
 		sizes:     make(map[sys.Word]sys.Word),
 		handlers:  make(map[sys.Word]func(*T, int)),
 		nextToken: 0x1000,
@@ -81,7 +82,7 @@ func Attach(p image.Proc) *T {
 	}
 	t.scratch = t.Malloc(scratchSize)
 	t.Stdin = &FILE{t: t, fd: 0}
-	t.Stdout = &FILE{t: t, fd: 1, wbuf: make([]byte, 0, stdioBuf), lineBuffered: true}
+	t.Stdout = &FILE{t: t, fd: 1, buffered: true, lineBuffered: true}
 	t.Stderr = &FILE{t: t, fd: 2}
 	p.SetSignalDispatcher(t.dispatchSignal)
 	return t
@@ -96,12 +97,12 @@ func (t *T) snapshot() *T {
 		Args:      append([]string(nil), t.Args...),
 		Env:       append([]string(nil), t.Env...),
 		brk:       t.brk,
-		free:      copyMap(t.free),
-		sizes:     copyMap(t.sizes),
+		free:      slices.Clone(t.free),
+		sizes:     maps.Clone(t.sizes),
 		scratch:   t.scratch,
 		ioBuf:     t.ioBuf,
 		ioCap:     t.ioCap,
-		handlers:  copyHandlers(t.handlers),
+		handlers:  maps.Clone(t.handlers),
 		nextToken: t.nextToken,
 	}
 }
@@ -111,26 +112,10 @@ func attachChild(snap *T, p image.Proc) *T {
 	t := snap
 	t.p = p
 	t.Stdin = &FILE{t: t, fd: 0}
-	t.Stdout = &FILE{t: t, fd: 1, wbuf: make([]byte, 0, stdioBuf), lineBuffered: true}
+	t.Stdout = &FILE{t: t, fd: 1, buffered: true, lineBuffered: true}
 	t.Stderr = &FILE{t: t, fd: 2}
 	p.SetSignalDispatcher(t.dispatchSignal)
 	return t
-}
-
-func copyMap(m map[sys.Word]sys.Word) map[sys.Word]sys.Word {
-	out := make(map[sys.Word]sys.Word, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func copyHandlers(m map[sys.Word]func(*T, int)) map[sys.Word]func(*T, int) {
-	out := make(map[sys.Word]func(*T, int), len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // Proc exposes the underlying machine process (rarely needed by programs).
@@ -150,6 +135,7 @@ func (t *T) Exit(code int) {
 		t.atexit[i](t)
 	}
 	t.Stdout.Flush()
+	t.Stdout.release()
 	t.Stderr.Flush()
 	t.Syscall(sys.SYS_exit, sys.Word(code))
 	// Invariant: SYS_exit terminates the process goroutine by unwind and
@@ -164,6 +150,14 @@ func (t *T) AtExit(fn func(*T)) { t.atexit = append(t.atexit, fn) }
 // Heap allocator: first fit with coalescing by address.
 
 const allocAlign = 8
+
+// block is one free heap block.
+type block struct{ addr, size sys.Word }
+
+// freeIndex returns the position of the first free block at or above addr.
+func (t *T) freeIndex(addr sys.Word) int {
+	return sort.Search(len(t.free), func(i int) bool { return t.free[i].addr >= addr })
+}
 
 // Malloc allocates n bytes in the process address space. It aborts the
 // process on heap exhaustion (n of zero returns a valid unique address).
@@ -183,22 +177,18 @@ func (t *T) Alloc(n sys.Word) (sys.Word, sys.Errno) {
 	}
 	n = (n + allocAlign - 1) &^ (allocAlign - 1)
 	// First fit over free blocks, lowest address first for determinism.
-	addrs := make([]sys.Word, 0, len(t.free))
-	for a := range t.free {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		size := t.free[a]
-		if size < n {
+	for i, b := range t.free {
+		if b.size < n {
 			continue
 		}
-		delete(t.free, a)
-		if size > n {
-			t.free[a+n] = size - n
+		if b.size > n {
+			// The remainder keeps the block's place in address order.
+			t.free[i] = block{b.addr + n, b.size - n}
+		} else {
+			t.free = slices.Delete(t.free, i, i+1)
 		}
-		t.sizes[a] = n
-		return a, sys.OK
+		t.sizes[b.addr] = n
+		return b.addr, sys.OK
 	}
 	// Grow the break.
 	grow := n
@@ -211,7 +201,7 @@ func (t *T) Alloc(n sys.Word) (sys.Word, sys.Errno) {
 	}
 	t.brk = base + grow
 	if grow > n {
-		t.free[base+n] = grow - n
+		t.free = slices.Insert(t.free, t.freeIndex(base+n), block{base + n, grow - n})
 	}
 	t.sizes[base] = n
 	return base, sys.OK
@@ -225,11 +215,12 @@ func (t *T) Free(addr sys.Word) {
 	}
 	delete(t.sizes, addr)
 	// Coalesce with an adjacent following free block.
-	if next, ok := t.free[addr+size]; ok {
-		delete(t.free, addr+size)
-		size += next
+	i := t.freeIndex(addr)
+	if i < len(t.free) && t.free[i].addr == addr+size {
+		t.free[i] = block{addr, size + t.free[i].size}
+		return
 	}
-	t.free[addr] = size
+	t.free = slices.Insert(t.free, i, block{addr, size})
 }
 
 // CString copies s into the address space as a NUL-terminated string.

@@ -16,8 +16,9 @@ type FILE struct {
 	fd int
 
 	rbuf []byte // buffered unread input
-	wbuf []byte // buffered unwritten output
+	wbuf []byte // buffered unwritten output; from xferPool, taken at first write
 
+	buffered     bool // output is buffered (stderr and read-only streams are not)
 	lineBuffered bool
 	err          sys.Errno
 	eof          bool
@@ -44,16 +45,12 @@ func (t *T) Fopen(path, mode string) (*FILE, sys.Errno) {
 	if err != sys.OK {
 		return nil, err
 	}
-	f := &FILE{t: t, fd: fd}
-	if flags&sys.O_ACCMODE != sys.O_RDONLY {
-		f.wbuf = make([]byte, 0, stdioBuf)
-	}
-	return f, sys.OK
+	return &FILE{t: t, fd: fd, buffered: flags&sys.O_ACCMODE != sys.O_RDONLY}, sys.OK
 }
 
 // Fdopen wraps an existing descriptor in a stream.
 func (t *T) Fdopen(fd int) *FILE {
-	return &FILE{t: t, fd: fd, wbuf: make([]byte, 0, stdioBuf)}
+	return &FILE{t: t, fd: fd, buffered: true}
 }
 
 // FD returns the stream's file descriptor.
@@ -67,13 +64,16 @@ func (f *FILE) EOF() bool { return f.eof && len(f.rbuf) == 0 }
 
 // Write buffers p for output.
 func (f *FILE) Write(p []byte) (int, error) {
-	if f.wbuf == nil {
+	if !f.buffered {
 		// Unbuffered stream (stderr).
 		if e := f.t.WriteString(f.fd, string(p)); e != sys.OK {
 			f.err = e
 			return 0, e
 		}
 		return len(p), nil
+	}
+	if f.wbuf == nil {
+		f.wbuf = (*getXfer())[:0]
 	}
 	f.wbuf = append(f.wbuf, p...)
 	flushAll := f.lineBuffered && len(p) > 0 && p[len(p)-1] == '\n'
@@ -125,9 +125,22 @@ func (f *FILE) Flush() sys.Errno {
 	return sys.OK
 }
 
+// release returns the output buffer to xferPool once it is drained. A
+// buffer holding unflushed bytes, or one append outgrew, is left to the
+// garbage collector. A later write takes a fresh buffer.
+func (f *FILE) release() {
+	if len(f.wbuf) == 0 && cap(f.wbuf) == xferBufSize {
+		b := f.wbuf[:xferBufSize]
+		putXfer(&b)
+	}
+	f.wbuf = nil
+}
+
 // Close flushes and closes the stream.
 func (f *FILE) Close() sys.Errno {
-	if e := f.Flush(); e != sys.OK {
+	e := f.Flush()
+	f.release()
+	if e != sys.OK {
 		f.t.Close(f.fd)
 		return e
 	}

@@ -7,6 +7,15 @@
 // mapped regions. Two regions exist by convention — a data/heap segment
 // growing up from DataBase under control of brk, and a stack segment ending
 // at StackTop growing down.
+//
+// Pages are recycled, not left to the garbage collector: execve (Reset),
+// a lowered break (SetBrk) and process exit (Release) return pages to one
+// package-wide pool, from which first touches and fork (Clone) draw. The
+// pool serves every address space in the process — every world of a
+// multi-tenant daemon — so a page is zeroed on its way in: a recycled
+// page reads as zeros exactly like a fresh one, and no space ever sees
+// another's bytes. Pages never leave the package; every access is a copy
+// made under the space's lock, so a pooled page is unreachable.
 package mem
 
 import (
@@ -37,6 +46,17 @@ const (
 	EmuSize sys.Word = 64 * 1024
 )
 
+// pagePool recycles pages between address spaces. Every page in it is
+// zero (putPage clears it), so getPage's result reads as a fresh page.
+var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
+func getPage() *[PageSize]byte { return pagePool.Get().(*[PageSize]byte) }
+
+func putPage(pg *[PageSize]byte) {
+	clear(pg[:])
+	pagePool.Put(pg)
+}
+
 // AS is one simulated address space.
 type AS struct {
 	mu    sync.Mutex
@@ -54,13 +74,30 @@ func NewAS() *AS {
 	}
 }
 
-// Reset discards all mappings, returning the space to its initial state.
-// Used by execve, which clears its caller's address space.
+// Reset discards all mappings, returning the space to its initial state
+// and its pages to the pool. Used by execve, which clears its caller's
+// address space.
 func (a *AS) Reset() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.pages = make(map[sys.Word]*[PageSize]byte)
+	a.releaseLocked()
 	a.brk = DataBase
+}
+
+// Release empties the space and returns its pages to the pool, at
+// process exit. The space stays usable: a later touch maps a zero page,
+// as a first touch always does.
+func (a *AS) Release() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.releaseLocked()
+}
+
+func (a *AS) releaseLocked() {
+	for _, pg := range a.pages {
+		putPage(pg)
+	}
+	clear(a.pages)
 }
 
 // Clone returns a copy of the address space, as done by fork.
@@ -73,8 +110,9 @@ func (a *AS) Clone() *AS {
 		limit: a.limit,
 	}
 	for k, pg := range a.pages {
-		cp := *pg
-		c.pages[k] = &cp
+		cp := getPage()
+		*cp = *pg
+		c.pages[k] = cp
 	}
 	return c
 }
@@ -88,7 +126,7 @@ func (a *AS) Brk() sys.Word {
 
 // SetBrk moves the program break. Growing past the data limit or into the
 // stack segment fails with ENOMEM; shrinking below DataBase fails with
-// EINVAL. Pages beyond a lowered break are discarded.
+// EINVAL. Pages beyond a lowered break return to the pool.
 func (a *AS) SetBrk(addr sys.Word) sys.Errno {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -104,9 +142,10 @@ func (a *AS) SetBrk(addr sys.Word) sys.Errno {
 	}
 	if addr < a.brk {
 		// Release whole pages above the new break.
-		for pg := range a.pages {
-			if pg >= pageUp(addr) && pg < pageUp(a.brk) && pg >= DataBase {
-				delete(a.pages, pg)
+		for base, pg := range a.pages {
+			if base >= pageUp(addr) && base < pageUp(a.brk) && base >= DataBase {
+				delete(a.pages, base)
+				putPage(pg)
 			}
 		}
 	}
@@ -162,7 +201,7 @@ func (a *AS) page(addr sys.Word) *[PageSize]byte {
 	base := addr &^ (PageSize - 1)
 	pg := a.pages[base]
 	if pg == nil {
-		pg = new([PageSize]byte)
+		pg = getPage()
 		a.pages[base] = pg
 	}
 	return pg

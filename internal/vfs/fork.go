@@ -91,8 +91,12 @@ func (fs *FS) Fork(clock func() time.Time, resolve func(rdev uint32) (Device, bo
 		}
 		switch ip.typ {
 		case sys.S_IFREG:
-			c.data = ip.data
+			// An empty file shares nothing: handing the child a
+			// zero-length slice of ip's array would give both sides its
+			// spare capacity with no dataRefs to stop growLocked
+			// extending into it in place.
 			if len(ip.data) > 0 {
+				c.data = ip.data
 				refs := ip.dataRefs.Load()
 				if refs == nil {
 					nr := &atomic.Int64{}

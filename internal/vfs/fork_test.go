@@ -367,3 +367,44 @@ func TestForkChainRefcounts(t *testing.T) {
 		t.Fatal("parent bytes changed under descendant writes")
 	}
 }
+
+// TestForkNeverSeesAppends pins that a shared array is never extended in
+// place: parent and child share the spare capacity behind a file's data,
+// so an append on one side must not land where the other side's next
+// append, or its length, can reach it. An empty file (spare capacity,
+// no bytes) must not be shared at all.
+func TestForkNeverSeesAppends(t *testing.T) {
+	fs := New(nil)
+	f, _ := fs.Create(fs.Root(), "f", 0o644, root0)
+	g, _ := fs.Create(fs.Root(), "g", 0o644, root0)
+	for off := int64(0); off < 3*4096; off += 4096 { // leave spare capacity
+		f.WriteAt(pattern(1, 4096), off, 0)
+		g.WriteAt(pattern(1, 4096), off, 0)
+	}
+	g.Truncate(0)
+	if cap(f.data) == len(f.data) || cap(g.data) == 0 {
+		t.Fatal("fixture has no spare capacity")
+	}
+	child, err := fs.Fork(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"/f", "/g"} {
+		pf, cf := mustLookup(t, fs, name), mustLookup(t, child, name)
+		size := pf.Size()
+		if _, e := pf.WriteAt([]byte("parent"), size, 0); e != sys.OK {
+			t.Fatal(e)
+		}
+		if _, e := cf.WriteAt([]byte("child!"), size, 0); e != sys.OK {
+			t.Fatal(e)
+		}
+		if got := pf.Bytes()[size:]; string(got) != "parent" {
+			t.Fatalf("%s: parent tail = %q", name, got)
+		}
+		if got := cf.Bytes()[size:]; string(got) != "child!" {
+			t.Fatalf("%s: child tail = %q", name, got)
+		}
+	}
+	mustClean(t, "parent", fs)
+	mustClean(t, "child", child)
+}

@@ -233,6 +233,49 @@ func (ip *Inode) releaseDataRef() {
 	}
 }
 
+// growLocked extends the file to end bytes, zero-filling from the old
+// length. An exclusively owned array grows in place within its capacity
+// and otherwise reallocates with append's geometric headroom, so a file
+// built by appends is copied O(log n) times, not once per write. The
+// spare capacity may hold stale bytes from a truncate-down, which is why
+// the new tail is cleared. A COW-shared array (dataRefs) is never
+// extended in place: the fork sibling shares its spare capacity and may
+// extend into it too. Caller holds ip.mu exclusively.
+func (ip *Inode) growLocked(end int64) {
+	old := len(ip.data)
+	n := int(end) - old
+	// append(s, make([]byte, n)...) allocates nothing for the make.
+	if ip.dataRefs.Load() == nil {
+		ip.data = append(ip.data, make([]byte, n)...)
+		return
+	}
+	ip.data = append(ip.data[:old:old], make([]byte, n)...)
+	ip.releaseDataRef()
+}
+
+// writeLocked copies p into the file data at off, growing it as needed.
+// Caller holds ip.mu exclusively.
+func (ip *Inode) writeLocked(p []byte, off int64) {
+	if end := off + int64(len(p)); end > int64(len(ip.data)) {
+		ip.growLocked(end)
+	} else {
+		// Never scribble on a COW array a fork sibling still reads.
+		ip.unshareData()
+	}
+	copy(ip.data[off:], p)
+}
+
+// truncateLocked sets the file length. Shrink is a reslice: the shared
+// array's bytes are untouched, so COW sharing (dataRefs) survives a
+// truncate-down. Caller holds ip.mu exclusively.
+func (ip *Inode) truncateLocked(length int64) {
+	if length < int64(len(ip.data)) {
+		ip.data = ip.data[:length]
+	} else if length > int64(len(ip.data)) {
+		ip.growLocked(length)
+	}
+}
+
 // ReadAt copies file data at offset off into p, returning the byte count.
 // Reading at or past EOF returns 0. Device inodes dispatch to their driver.
 func (ip *Inode) ReadAt(p []byte, off int64) (int, sys.Errno) {
@@ -277,15 +320,7 @@ func (ip *Inode) WriteAt(p []byte, off int64, maxSize int64) (int, sys.Errno) {
 		Off: off, Data: p}); e != sys.OK {
 		return 0, e
 	}
-	if end > int64(len(ip.data)) {
-		grown := make([]byte, end)
-		copy(grown, ip.data)
-		ip.releaseDataRef()
-		ip.data = grown
-	} else {
-		ip.unshareData()
-	}
-	copy(ip.data[off:], p)
+	ip.writeLocked(p, off)
 	now := ip.fs.now()
 	ip.Mtime, ip.Ctime = now, now
 	ip.bump()
@@ -309,17 +344,7 @@ func (ip *Inode) Truncate(length int64) sys.Errno {
 		Size: length}); e != sys.OK {
 		return e
 	}
-	switch {
-	case int64(len(ip.data)) > length:
-		// Shrink is a reslice: the shared array's bytes are untouched, so
-		// COW sharing (dataRefs) survives a truncate-down.
-		ip.data = ip.data[:length]
-	case int64(len(ip.data)) < length:
-		grown := make([]byte, length)
-		copy(grown, ip.data)
-		ip.releaseDataRef()
-		ip.data = grown
-	}
+	ip.truncateLocked(length)
 	now := ip.fs.now()
 	ip.Mtime, ip.Ctime = now, now
 	ip.bump()

@@ -282,18 +282,9 @@ func (rp *Replayer) write(r *journal.Record) error {
 	}
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
-	end := r.Off + int64(len(r.Data))
-	if end > int64(len(ip.data)) {
-		grown := make([]byte, end)
-		copy(grown, ip.data)
-		ip.releaseDataRef()
-		ip.data = grown
-	} else {
-		// Replay onto a forked world must not scribble on a COW array the
-		// fork sibling still reads (fork.go).
-		ip.unshareData()
-	}
-	copy(ip.data[r.Off:], r.Data)
+	// Replay onto a forked world must not scribble on a COW array the
+	// fork sibling still reads (fork.go); writeLocked copies out first.
+	ip.writeLocked(r.Data, r.Off)
 	now := rp.now()
 	ip.Mtime, ip.Ctime = now, now
 	ip.bump()
@@ -307,15 +298,7 @@ func (rp *Replayer) truncate(r *journal.Record) error {
 	}
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
-	switch {
-	case int64(len(ip.data)) > r.Size:
-		ip.data = ip.data[:r.Size] // reslice; COW sharing survives
-	case int64(len(ip.data)) < r.Size:
-		grown := make([]byte, r.Size)
-		copy(grown, ip.data)
-		ip.releaseDataRef()
-		ip.data = grown
-	}
+	ip.truncateLocked(r.Size)
 	now := rp.now()
 	ip.Mtime, ip.Ctime = now, now
 	ip.bump()

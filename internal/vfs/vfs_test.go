@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -567,5 +568,67 @@ func checkInvariants(t *testing.T, fs *FS) {
 	// The FS's live-inode count matches the walk (every counted inode once).
 	if got, want := fs.NumInodes(), len(counted); got != want {
 		t.Fatalf("NumInodes = %d, reachable = %d", got, want)
+	}
+}
+
+// TestAppendsMatchOneWrite pins extending writes: a file built from many
+// 4 KB appends holds the same bytes as one write of the whole, and the
+// data array is reallocated O(log n) times, not once per append.
+func TestAppendsMatchOneWrite(t *testing.T) {
+	fs := New(nil)
+	whole := make([]byte, 1<<20)
+	for i := range whole {
+		whole[i] = byte(i*7 + i>>12)
+	}
+	one, _ := fs.Create(fs.Root(), "one", 0o644, root0)
+	if _, e := one.WriteAt(whole, 0, 0); e != sys.OK {
+		t.Fatal(e)
+	}
+	app, _ := fs.Create(fs.Root(), "app", 0o644, root0)
+	reallocs := 0
+	for off := 0; off < len(whole); off += 4096 {
+		var before *byte
+		if len(app.data) > 0 {
+			before = &app.data[0]
+		}
+		if _, e := app.WriteAt(whole[off:off+4096], int64(off), 0); e != sys.OK {
+			t.Fatal(e)
+		}
+		if &app.data[0] != before {
+			reallocs++
+		}
+	}
+	if !bytes.Equal(app.Bytes(), one.Bytes()) {
+		t.Fatal("appended file differs from one write")
+	}
+	if reallocs > 40 {
+		t.Fatalf("%d reallocations for 256 appends, want geometric growth", reallocs)
+	}
+}
+
+// TestTruncateThenExtendReadsZero pins that growth within spare capacity
+// clears it: a truncate-down leaves the old bytes in the array's spare
+// capacity, and neither a write past the end nor a truncate-up may
+// bring them back.
+func TestTruncateThenExtendReadsZero(t *testing.T) {
+	fs := New(nil)
+	f, _ := fs.Create(fs.Root(), "f", 0o644, root0)
+	full := bytes.Repeat([]byte{0xff}, 8192)
+	zero := make([]byte, 8192)
+	if _, e := f.WriteAt(full, 0, 0); e != sys.OK {
+		t.Fatal(e)
+	}
+	f.Truncate(100)
+	if _, e := f.WriteAt([]byte("x"), 5000, 0); e != sys.OK {
+		t.Fatal(e)
+	}
+	got := f.Bytes()
+	if len(got) != 5001 || !bytes.Equal(got[100:5000], zero[100:5000]) || got[5000] != 'x' {
+		t.Fatalf("hole after truncate-down and write past the end is not zero")
+	}
+	f.Truncate(10)
+	f.Truncate(8192)
+	if got := f.Bytes(); !bytes.Equal(got[10:], zero[10:]) {
+		t.Fatal("truncate-up after truncate-down is not zero-filled")
 	}
 }
