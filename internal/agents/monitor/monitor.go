@@ -69,7 +69,7 @@ func (a *Agent) Syscall(c sys.Ctx, num int, args sys.Args) (sys.Retval, sys.Errn
 	a.mu.Unlock()
 
 	if num == sys.SYS_exit && a.report {
-		core.DownWriteString(c, 2, a.Report(c.PID()))
+		core.DownWrite(c, 2, []byte(a.Report(c.PID())))
 	}
 	start := time.Now()
 	rv, err := core.Down(c, num, args)

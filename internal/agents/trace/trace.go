@@ -12,7 +12,7 @@
 package trace
 
 import (
-	"fmt"
+	"strconv"
 
 	"interpose/internal/core"
 	"interpose/internal/sys"
@@ -37,23 +37,29 @@ func New() *Agent {
 // deliberately unbuffered across system calls so it is not lost if the
 // process is killed.
 func (a *Agent) pre(c sys.Ctx, format string, args ...any) {
-	core.DownWriteString(c, a.fd, fmt.Sprintf("%d| ", c.PID())+fmt.Sprintf(format, args...)+" ...\n")
+	bp := startLine(c)
+	*bp = append(appendf(*bp, format, args...), " ...\n"...)
+	a.writeLine(c, bp)
 }
 
 // post prints the call result.
 func (a *Agent) post(c sys.Ctx, name string, rv sys.Retval, err sys.Errno) {
-	var tail string
+	bp := startLine(c)
+	b := append(append(*bp, "... "...), name...)
 	if err != sys.OK {
-		tail = fmt.Sprintf("-> -1 %s", err.Name())
+		b = append(append(b, " -> -1 "...), err.Name()...)
 	} else {
-		tail = fmt.Sprintf("-> %d", int32(rv[0]))
+		b = strconv.AppendInt(append(b, " -> "...), int64(int32(rv[0])), 10)
 	}
-	core.DownWriteString(c, a.fd, fmt.Sprintf("%d| ... %s %s\n", c.PID(), name, tail))
+	*bp = append(b, '\n')
+	a.writeLine(c, bp)
 }
 
 // SignalUp prints each signal on its way to the application.
 func (a *Agent) SignalUp(c sys.Ctx, sig, code int) int {
-	core.DownWriteString(c, a.fd, fmt.Sprintf("%d| signal %s\n", c.PID(), sys.SignalName(sig)))
+	bp := startLine(c)
+	*bp = append(append(append(*bp, "signal "...), sys.SignalName(sig)...), '\n')
+	a.writeLine(c, bp)
 	return sig
 }
 
@@ -285,7 +291,11 @@ func (a *Agent) SysPipe(c sys.Ctx) (sys.Retval, sys.Errno) {
 	a.pre(c, "pipe()")
 	rv, err := a.Symbolic.SysPipe(c)
 	if err == sys.OK {
-		core.DownWriteString(c, a.fd, fmt.Sprintf("%d| ... pipe -> [%d, %d]\n", c.PID(), rv[0], rv[1]))
+		bp := startLine(c)
+		b := strconv.AppendUint(append(*bp, "... pipe -> ["...), uint64(rv[0]), 10)
+		b = strconv.AppendUint(append(b, ", "...), uint64(rv[1]), 10)
+		*bp = append(b, "]\n"...)
+		a.writeLine(c, bp)
 	} else {
 		a.post(c, "pipe", rv, err)
 	}

@@ -130,19 +130,19 @@ func DownPath2(c sys.Ctx, num int, p1, p2 string, rest ...sys.Word) (sys.Retval,
 	return Down(c, num, a)
 }
 
-// DownWriteString writes s to descriptor fd of the client through a
-// downcall, staging the bytes in the client's address space first. Agents
-// use it to emit output (trace logs, reports) as real write system calls —
-// the cost the paper attributes to the trace agent.
-func DownWriteString(c sys.Ctx, fd int, s string) sys.Errno {
-	if s == "" {
+// DownWrite writes b to descriptor fd of the client through a downcall,
+// staging the bytes in the client's address space first. Agents use it to
+// emit output (trace logs, reports) as real write system calls — the cost
+// the paper attributes to the trace agent.
+func DownWrite(c sys.Ctx, fd int, b []byte) sys.Errno {
+	if len(b) == 0 {
 		return sys.OK
 	}
-	addr, err := StageBytes(c, []byte(s))
+	addr, err := StageBytes(c, b)
 	if err != sys.OK {
 		return err
 	}
-	remaining := sys.Word(len(s))
+	remaining := sys.Word(len(b))
 	for remaining > 0 {
 		rv, err := Down(c, sys.SYS_write, sys.Args{sys.Word(fd), addr, remaining})
 		if err != sys.OK {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"interpose/internal/image"
 	"interpose/internal/sys"
 )
@@ -26,11 +28,11 @@ func ReadWordVec(c sys.Ctx, addr sys.Word) ([]string, sys.Errno) {
 		return nil, sys.OK
 	}
 	var out []string
+	var b [4]byte // one buffer for the scan: CopyIn makes it escape
 	for i := 0; ; i++ {
 		if i > 1024 {
 			return nil, sys.E2BIG
 		}
-		var b [4]byte
 		if e := c.CopyIn(addr+sys.Word(4*i), b[:]); e != sys.OK {
 			return nil, e
 		}
@@ -70,11 +72,11 @@ func readFileDown(c sys.Ctx, path string) ([]byte, sys.Errno) {
 		if n == 0 {
 			return data, sys.OK
 		}
-		b := make([]byte, n)
-		if e := c.CopyIn(bufAddr, b); e != sys.OK {
+		data = slices.Grow(data, n)
+		if e := c.CopyIn(bufAddr, data[len(data):len(data)+n]); e != sys.OK {
 			return nil, e
 		}
-		data = append(data, b...)
+		data = data[:len(data)+n]
 	}
 }
 
@@ -156,7 +158,9 @@ func ExecveFromPrimitives(c sys.Ctx, path string, argvAddr, envpAddr sys.Word) (
 	if err != sys.OK {
 		return sys.Retval{}, err
 	}
-	dflAddr, err := StageBytes(c, encodeSigvec(sys.Sigvec{Handler: sys.SIG_DFL}))
+	var b [sys.SigvecSize]byte // one buffer for the scan: CopyIn makes it escape
+	sys.Sigvec{Handler: sys.SIG_DFL}.Encode(b[:])
+	dflAddr, err := StageBytes(c, b[:])
 	if err != sys.OK {
 		return sys.Retval{}, err
 	}
@@ -167,7 +171,6 @@ func ExecveFromPrimitives(c sys.Ctx, path string, argvAddr, envpAddr sys.Word) (
 		if _, err := Down(c, sys.SYS_sigvec, sys.Args{sys.Word(sig), 0, osvAddr}); err != sys.OK {
 			continue
 		}
-		var b [sys.SigvecSize]byte
 		if e := c.CopyIn(osvAddr, b[:]); e != sys.OK {
 			continue
 		}
@@ -196,10 +199,4 @@ func ExecveFromPrimitives(c sys.Ctx, path string, argvAddr, envpAddr sys.Word) (
 	ep.SetInitialSP(sp)
 	ep.Exec(entry) // does not return
 	return sys.Retval{}, sys.OK
-}
-
-func encodeSigvec(sv sys.Sigvec) []byte {
-	b := make([]byte, sys.SigvecSize)
-	sv.Encode(b)
-	return b
 }

@@ -312,13 +312,13 @@ func (a *sigShield) SignalUp(c sys.Ctx, sig, code int) int {
 	return sig
 }
 
-func TestDownWriteString(t *testing.T) {
+func TestDownWrite(t *testing.T) {
 	k := kernel.New(image.NewRegistry())
 	p := k.NewProc()
 	p.OpenConsole()
 	writer := sys.HandlerFunc(func(c sys.Ctx, num int, a sys.Args) (sys.Retval, sys.Errno) {
-		if e := core.DownWriteString(c, 1, "from the agent\n"); e != sys.OK {
-			t.Errorf("DownWriteString: %v", e)
+		if e := core.DownWrite(c, 1, []byte("from the agent\n")); e != sys.OK {
+			t.Errorf("DownWrite: %v", e)
 		}
 		return core.Down(c, num, a)
 	})

@@ -52,6 +52,15 @@ func (pl *dispatchPlan) interestBelow(below, num int) uint32 {
 	return m
 }
 
+// intercepts reports whether any layer of the plan intercepts num. A
+// stack too deep for the bitmap is assumed to.
+func (pl *dispatchPlan) intercepts(num int) bool {
+	if pl.interest == nil {
+		return len(pl.layers) > 0
+	}
+	return pl.interest[num] != 0
+}
+
 // topInterested returns the index of the highest interested layer in mask.
 func topInterested(mask uint32) int { return bits.Len32(mask) - 1 }
 

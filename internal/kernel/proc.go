@@ -891,6 +891,9 @@ func (p *Proc) StartEntry(e image.Entry, argv, envp []string) error {
 // exit unwinds, and runs any emulation-layer child hooks first if this is
 // a fresh fork child.
 func (p *Proc) run(entry image.Entry) {
+	if p.plan.Load().intercepts(sys.SYS_execve) {
+		presizeStack(0)
+	}
 	for {
 		next, status := p.runOnce(entry)
 		if next == nil {
@@ -899,6 +902,36 @@ func (p *Proc) run(entry image.Entry) {
 		}
 		entry = next
 	}
+}
+
+// stackReserve is the frame presizeStack spends. A frame this size does
+// not fit an 8 KB stack, so the one growth lands on a 16 KB stack or
+// more, which holds the whole agent path; in CPU profiles of
+// agent-stacked builds, 6 to 16 KB frames all took stack growth off that
+// path, and 4 KB did not.
+const stackReserve = 8 << 10
+
+// presizeStack grows the calling goroutine's stack once, to fit a frame
+// of stackReserve bytes, and returns. Processes are goroutines, which
+// start on a small stack. Under an agent stack, a process's calls run
+// about twenty frames deep: libc, dispatch, the agent, the toolkit's
+// execve, Down, the kernel, and VFS lookup. Reaching that depth from a
+// small stack makes the runtime grow the stack several times, and each
+// growth copies and re-adjusts every frame already on it. In a fresh
+// process that cost was a tenth of the CPU of an agent-stacked build.
+// Called first thing in the goroutine, the one growth copies an almost
+// empty stack. run calls it only when a layer intercepts execve, so that
+// the process's execve is the toolkit's, rebuilt from downcalls, and its
+// other calls go through that agent too. A bare process, or one under an
+// agent that intercepts a few shallow calls (timex), never goes that
+// deep, and the reserve would cost it.
+// The frame is read at index i, which run passes as 0, so the compiler
+// cannot fold the frame away.
+//
+//go:noinline
+func presizeStack(i int) byte {
+	var frame [stackReserve]byte
+	return frame[i]
 }
 
 // runOnce executes entry until it exits, execs, or returns.

@@ -257,6 +257,9 @@ func (a *AS) CopyInString(addr sys.Word, max int) (string, sys.Errno) {
 		chunk := pg[off:]
 		for i, b := range chunk {
 			if b == 0 {
+				if out == nil { // within one page: one copy, not two
+					return string(chunk[:i]), sys.OK
+				}
 				return string(append(out, chunk[:i]...)), sys.OK
 			}
 			if len(out)+i+1 > max {
