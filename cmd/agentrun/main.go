@@ -4,8 +4,8 @@
 //
 //	agentrun [-a agent[=arg]]... [-feed text] [-trace-kernel]
 //	         [-inject plan] [-stats] [-stats-json] [-flight-dump]
-//	         [-supervise strict|bypass] [-agent-deadline dur]
-//	         [-supervise-errno NAME] [-trace-out file]
+//	         [-supervise strict|bypass] [-supervise-errno NAME]
+//	         [-trace-out file]
 //	         [-trace-sample p] [-trace-slow dur]
 //	         [-journal file] [-checkpoint file] [-restore file]
 //	         -- PROGRAM [args...]
@@ -44,12 +44,12 @@
 // ring of recent events; if the program dies on a signal the ring is
 // dumped automatically, like a crash recorder should.
 //
-// -supervise installs the kernel's agent supervisor: a panicking (or,
-// with -agent-deadline, hanging) agent upcall is contained instead of
-// crashing the world — the call fails with -supervise-errno (strict) or
-// completes below the failed layer (bypass) — and repeated failures
-// quarantine the layer, which is announced on standard error along with
-// a flight-ring dump whose supervise:* events carry the layer name.
+// -supervise installs the kernel's agent supervisor: a panicking agent
+// upcall is contained instead of crashing the world — the call fails
+// with -supervise-errno (strict) or completes below the failed layer
+// (bypass) — and repeated failures quarantine the layer, which is
+// announced on standard error along with a flight-ring dump whose
+// supervise:* events carry the layer name.
 // Breaker state appears as supervise.layer.* gauges in -stats.
 //
 // -trace-out installs the causal span tracer and writes the collected
@@ -114,7 +114,6 @@ func main() {
 	traceKernel := flag.Bool("trace-kernel", false, "print kernel-level file-reference trace events on standard error")
 	inject := flag.String("inject", "", "kernel-side fault plan, injected below all agents (e.g. 'seed=7,write=EIO@0.05')")
 	supervise := flag.String("supervise", "off", "contain agent failures: strict (failed call errors), bypass (failed call completes below the layer), or off")
-	agentDeadline := flag.Duration("agent-deadline", 0, "abandon an agent upcall running longer than this (0 disables; needs -supervise)")
 	superviseErrno := flag.String("supervise-errno", "EFAULT", "errno a contained agent failure returns in strict mode")
 	traceOut := flag.String("trace-out", "", "write causal span trace as Chrome trace-event JSON to this file (load in Perfetto)")
 	traceSample := flag.Float64("trace-sample", -1, "span head-sampling probability in [0,1]; default 1 with -trace-out, else tracing off")
@@ -175,12 +174,8 @@ func main() {
 			TailErrors: *traceSlow > 0 || sample < 1,
 		}
 	}
-	if *supervise != "off" || *agentDeadline != 0 {
-		spec.Supervise = &world.SuperviseSpec{
-			Mode:     *supervise,
-			Errno:    *superviseErrno,
-			Deadline: *agentDeadline,
-		}
+	if *supervise != "off" {
+		spec.Supervise = &world.SuperviseSpec{Mode: *supervise, Errno: *superviseErrno}
 	}
 	// A quarantine is the crash-recorder moment for an agent: say which
 	// layer was fenced off and dump the recent-event ring, whose

@@ -144,27 +144,3 @@ func TestSupervisionSoakDeterministic(t *testing.T) {
 			a.rounds, b.rounds, a.quarantined, b.quarantined)
 	}
 }
-
-// TestSupervisionHangDeadline drives the hang rule against the deadline:
-// the layer blocks inside its upcall, the supervisor abandons it at the
-// deadline, and the overrun trips the breaker so the build completes.
-func TestSupervisionHangDeadline(t *testing.T) {
-	defer agenttest.Watchdog(t, 2*time.Minute)()
-	cfg := kernel.SupervisorConfig{
-		Mode:          kernel.SuperviseStrict,
-		TripThreshold: 1,
-		Window:        0,
-		Cooldown:      -1,
-		Deadline:      25 * time.Millisecond,
-	}
-	res := runSoak(t, 2, "seed=2,write=hang:300ms@0.02", cfg)
-	if !sys.WIfExited(res.finalStatus) || sys.WExitStatus(res.finalStatus) != 0 {
-		t.Fatalf("no clean build in %d rounds: %#x\n%s", res.rounds, res.finalStatus, res.output)
-	}
-	if len(res.log) == 0 {
-		t.Fatal("plan never hung; deadline untested")
-	}
-	if len(res.quarantined) != 1 || res.quarantined[0] != "faulty" {
-		t.Fatalf("quarantined = %v, want [faulty]", res.quarantined)
-	}
-}

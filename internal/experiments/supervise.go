@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"io"
-	"time"
 
 	"interpose/internal/kernel"
 )
@@ -12,9 +11,7 @@ import (
 // pay-per-use — installing a supervisor must not slow the uninterposed
 // fast path (idle vs off, one atomic plan load), and the supervised
 // interposed leg should add only the containment bookkeeping (strict vs
-// layer). Both idle and strict are guarded against the baseline. The
-// deadline row shows the price of the goroutine-per-upcall variant,
-// which is why deadlines default to off.
+// layer). Both idle and strict are guarded against the baseline.
 var supTable = Table{Name: "sup", run: runSup,
 	Guards: []string{"getpid()/idle", "getpid()/strict"}}
 
@@ -25,13 +22,11 @@ func runSup(w io.Writer, _, _ int) ([]BenchEntry, error) {
 		row       string
 		layer     bool // install a pass-through layer on the call path
 		supervise bool
-		deadline  time.Duration
 	}{
 		{row: "getpid()/off"},
 		{row: "getpid()/idle", supervise: true},
 		{row: "getpid()/layer", layer: true},
 		{row: "getpid()/strict", layer: true, supervise: true},
-		{row: "getpid()/deadline", layer: true, supervise: true, deadline: time.Second},
 	}
 	var es []BenchEntry
 	for _, c := range cfgs {
@@ -40,10 +35,7 @@ func runSup(w io.Writer, _, _ int) ([]BenchEntry, error) {
 			return nil, err
 		}
 		if c.supervise {
-			k.SetSupervisor(kernel.NewSupervisor(k, kernel.SupervisorConfig{
-				Mode:     kernel.SuperviseStrict,
-				Deadline: c.deadline,
-			}))
+			k.SetSupervisor(kernel.NewSupervisor(k, kernel.SupervisorConfig{Mode: kernel.SuperviseStrict}))
 		}
 		es = append(es, entry(c.row, getpidCost(k, c.layer)))
 	}

@@ -51,9 +51,9 @@ const (
 	// kills the process like any kernel bug would.
 	EffectPanic
 	// EffectHang blocks the call for the rule's wall-clock duration and
-	// then fails it with EINTR — a stuck layer, for exercising
-	// supervision deadlines. It deliberately does not proceed below
-	// after the sleep: a deadline-abandoned call must not run twice.
+	// then fails it with EINTR — a stuck layer, for exercising hang
+	// detection (worldd's session watchdog). It does not proceed below
+	// after the sleep.
 	EffectHang
 	// EffectCrash kills the whole world at this call: the crash callback
 	// (OnCrash) freezes the journal at its current durable prefix and the
@@ -190,7 +190,7 @@ func parseRule(key, val string) (Rule, error) {
 	if i := strings.LastIndexByte(val, '@'); i >= 0 {
 		eff = val[:i]
 		prob, err := strconv.ParseFloat(val[i+1:], 64)
-		if err != nil || prob <= 0 || prob > 1 {
+		if err != nil || !(prob > 0 && prob <= 1) { // NaN fails too
 			return Rule{}, fmt.Errorf("fault: rule %s=%s: probability must be in (0,1]", key, val)
 		}
 		r.Prob = prob

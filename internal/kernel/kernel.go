@@ -79,10 +79,10 @@ type Kernel struct {
 	inj atomic.Pointer[injectorBox]
 
 	// sup, when non-nil, supervises every agent upcall: panic
-	// containment, per-layer circuit breakers, and optional deadlines
-	// (supervise.go). It is consulted only on the interposed leg of
-	// dispatch, so the uninterposed fast path stays one atomic plan
-	// load; while nil the interposed leg pays one atomic pointer load.
+	// containment and per-layer circuit breakers (supervise.go). It is
+	// consulted only on the interposed leg of dispatch, so the
+	// uninterposed fast path stays one atomic plan load; while nil the
+	// interposed leg pays one atomic pointer load.
 	sup atomic.Pointer[Supervisor]
 
 	// trc, when non-nil, is the causal span tracer: sampled syscalls open
@@ -222,22 +222,10 @@ func (k *Kernel) cacheGauges() []telemetry.NamedCounter {
 	return out
 }
 
-// SetExtraGauges installs (or removes, with nil) an additional gauge
-// source whose rows ride along with the kernel's cache gauges in every
-// telemetry snapshot. One source; a second call replaces the first.
-func (k *Kernel) SetExtraGauges(fn func() []telemetry.NamedCounter) {
-	if fn == nil {
-		k.extraGauges.Store(nil)
-		return
-	}
-	k.extraGauges.Store(&gaugeSourceBox{fn: fn})
-}
-
-// AddExtraGauges chains fn onto the current extra gauge source instead
-// of replacing it, so independent facilities (a warm pool's gauges, a
-// health watchdog's state rows) can each contribute without knowing
-// about the other. Rows append in installation order. A nil fn is a
-// no-op; SetExtraGauges(nil) still clears the whole chain.
+// AddExtraGauges chains fn onto the kernel's extra gauge source, so
+// independent facilities (a warm pool's gauges, a health watchdog's
+// state rows) can each contribute without knowing about the other. Rows
+// append in installation order. A nil fn is a no-op.
 func (k *Kernel) AddExtraGauges(fn func() []telemetry.NamedCounter) {
 	if fn == nil {
 		return

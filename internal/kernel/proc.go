@@ -136,25 +136,22 @@ type Proc struct {
 	// time spent in lower instances of the system interface — the
 	// subtrahend of per-layer self-time attribution. Reset at each
 	// top-level system call entry.
-	telChild atomic.Int64 // nanoseconds
+	telChild int64 // nanoseconds
 
-	// Span-tracing state (see internal/trace). trcRand is touched only
-	// at root-span entry on the process's own goroutine. The per-call
-	// scratch (traceID, causeSpan, curSpan, spanParent, curLink) and
-	// telChild above are normally own-goroutine too — fork copies trace
-	// identity to the child on the parent's goroutine before publishProc
-	// makes the child visible — but they are atomics because a
-	// deadline-abandoned supervised upcall (see Supervisor.runDeadline)
-	// keeps running detached and may still reach them through nested
-	// downcalls. Post-abandonment writes can misattribute or mislink the
-	// live call's spans; that is the documented price of abandoning an
-	// upcall ("its side effects may still land"), kept memory-safe here.
-	trcRand    uint64        // xorshift head-sampling state, seeded lazily from the pid
-	traceID    atomic.Uint64 // trace this process belongs to (0 until first sampled span; fork-inherited)
-	causeSpan  atomic.Uint64 // causal parent for the next root span (fork/exec/signal edge); consumed on use
-	curSpan    atomic.Uint64 // open root span of the call in flight; 0 when unsampled
-	spanParent atomic.Uint64 // innermost open span: parent for nested layer/kernel child spans
-	curLink    atomic.Uint64 // pending cross-process link (pipe read, reaped child) for the open root span
+	// Span-tracing state (see internal/trace). Like emuCursor and
+	// telChild, these are touched only by the process's own goroutine:
+	// every upcall, downcall and kernel leg of a call runs on the goroutine
+	// that made it. Fork copies trace identity into the child on the
+	// parent's goroutine before publishProc makes the child visible, and
+	// finishExit reads curSpan and traceID on the exiting goroutine (or,
+	// for a host-driven process that was never started, on the one host
+	// goroutine that drove it).
+	trcRand    uint64 // xorshift head-sampling state, seeded lazily from the pid
+	traceID    uint64 // trace this process belongs to (0 until first sampled span; fork-inherited)
+	causeSpan  uint64 // causal parent for the next root span (fork/exec/signal edge); consumed on use
+	curSpan    uint64 // open root span of the call in flight; 0 when unsampled
+	spanParent uint64 // innermost open span: parent for nested layer/kernel child spans
+	curLink    uint64 // pending cross-process link (pipe read, reaped child) for the open root span
 
 	// exitSpan is the root span of the process's exit call, written in
 	// finishExit under k.pmu before the zombie transition and read by the
@@ -407,10 +404,14 @@ func (p *Proc) Yield() { p.checkSignals() }
 // The layer sees the process's system calls (for registered numbers) before
 // lower layers and the kernel; it sees signals after them. The dispatch
 // plan is recompiled and published atomically: calls already in flight
-// finish under the old plan, the next call sees the new stack.
+// finish under the old plan, the next call sees the new stack. Pushing a
+// layer onto a stack already MaxLayers deep panics.
 func (p *Proc) PushEmulation(l *EmuLayer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if len(p.emu) >= MaxLayers {
+		panic(fmt.Sprintf("kernel: pid %d: emulation stack is full (%d layers)", p.pid, MaxLayers))
+	}
 	p.emu = append(p.emu, l)
 	p.recompilePlanLocked()
 }
@@ -471,92 +472,61 @@ func (lc LayerCtx) DownSignal(sig, code int) int {
 // any pending signals before returning to user code.
 func (p *Proc) Syscall(num int, a sys.Args) (sys.Retval, sys.Errno) {
 	addUint32(&p.nsyscalls, 1)
-	p.emuCursor = 0 // agent scratch is per-call
-	// Attribution and span scratch are per-call (stale after an exec
-	// unwind). Conditional clears: the atomic loads are plain reads on
-	// the hot path, the stores only run when instrumentation left state.
-	if p.telChild.Load() != 0 {
-		p.telChild.Store(0)
-	}
-	if p.curSpan.Load() != 0 {
-		p.curSpan.Store(0)
-	}
+	// Agent scratch, attribution and span scratch are per-call (stale
+	// after an exec unwind).
+	p.emuCursor, p.telChild, p.curSpan = 0, 0, 0
 	pl := p.plan.Load()
-	if t := p.k.trc.Load(); t != nil {
-		return p.syscallTraced(t, pl, num, a)
-	}
-	if r := p.k.tel.Load(); r != nil {
-		return p.syscallTimed(r, pl, num, a)
+	if t, r := p.k.trc.Load(), p.k.tel.Load(); t != nil || r != nil {
+		return p.syscallTraced(t, r, pl, num, a)
 	}
 	rv, err := p.dispatch(pl, len(pl.layers), num, a)
 	p.checkSignals()
 	return rv, err
 }
 
-// syscallTimed is the telemetry-enabled top half of Syscall: it times the
-// call end to end for the per-syscall histogram and appends a flight
-// event. Per-layer attribution happens frame by frame in dispatch. Calls
-// that unwind instead of returning (exit, successful execve) are recorded
-// at entry with unknown duration, since no code runs after them.
-func (p *Proc) syscallTimed(r *telemetry.Registry, pl *dispatchPlan, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	unwinds := num == sys.SYS_exit || num == sys.SYS_execve
-	if unwinds {
-		r.RecordEvent(p.pid, num, 0, -1)
-	}
-	start := time.Now()
-	rv, err := p.dispatch(pl, len(pl.layers), num, a)
-	d := time.Since(start)
-	r.RecordSyscall(num, d, err != sys.OK)
-	if !unwinds {
-		r.RecordEvent(p.pid, num, int32(err), d)
-	}
-	p.checkSignals()
-	return rv, err
-}
-
-// syscallTraced is the span-tracing top half of Syscall, used whenever a
-// span tracer is installed. It folds in syscallTimed's telemetry duties
-// so the two facilities share one pair of clock reads. A head-sampled
-// call opens a root span whose Parent is the pending causal edge (fork,
-// exec, or signal delivery) and whose Link is filled by cross-process
-// edges observed during dispatch (pipe read, reaped child). Unsampled
-// calls may still be retained by tail rules when slow or failed; when
-// neither facility needs a duration, the clock is never read. Calls that
-// unwind instead of returning (exit, successful execve) record their
-// span at entry with unknown duration, and the span is left as the
-// causal parent so the post-exec image's first call chains under it.
-func (p *Proc) syscallTraced(t *trace.Tracer, pl *dispatchPlan, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	r := p.k.tel.Load()
+// syscallTraced is the observed top half of Syscall, used whenever a span
+// tracer (t) or a telemetry registry (r) is installed; either may be nil,
+// and the two share one pair of clock reads. With a registry it times
+// the call for the per-syscall histogram and appends a flight event;
+// per-layer attribution happens frame by frame in dispatch. With a
+// tracer, a head-sampled call opens a root span whose Parent is the
+// pending causal edge (fork, exec, or signal delivery) and whose Link is
+// filled by cross-process edges observed during dispatch (pipe read,
+// reaped child); unsampled calls may still be retained by tail rules
+// when slow or failed. When nothing needs a duration, the clock is never
+// read. Calls that unwind instead of returning (exit, successful execve)
+// are recorded at entry with unknown duration, and their span is left
+// as the causal parent so the post-exec image's first call chains under
+// it.
+func (p *Proc) syscallTraced(t *trace.Tracer, r *telemetry.Registry, pl *dispatchPlan, num int, a sys.Args) (sys.Retval, sys.Errno) {
 	unwinds := num == sys.SYS_exit || num == sys.SYS_execve
 	if unwinds && r != nil {
 		r.RecordEvent(p.pid, num, 0, -1)
 	}
-	sampled := t.Sampled(&p.trcRand, p.pid)
+	sampled := t != nil && t.Sampled(&p.trcRand, p.pid)
 	var span trace.Span
 	if sampled {
-		if p.traceID.Load() == 0 {
-			p.traceID.Store(t.NewTrace())
+		if p.traceID == 0 {
+			p.traceID = t.NewTrace()
 		}
 		span = trace.Span{
-			Trace:  p.traceID.Load(),
+			Trace:  p.traceID,
 			ID:     t.NewSpanID(),
-			Parent: p.causeSpan.Load(),
+			Parent: p.causeSpan,
 			PID:    int32(p.pid),
 			Num:    int32(num),
 			Layer:  trace.LayerRoot,
 		}
-		p.causeSpan.Store(0)
-		p.curSpan.Store(span.ID)
-		p.spanParent.Store(span.ID)
-		p.curLink.Store(0)
+		p.causeSpan = 0
+		p.curSpan, p.spanParent, p.curLink = span.ID, span.ID, 0
 		if unwinds {
 			span.Start = t.Now()
 			span.Dur = -1
 			t.Record(span)
-			p.causeSpan.Store(span.ID)
+			p.causeSpan = span.ID
 		}
 	}
-	needClock := r != nil || (sampled && !unwinds) || t.TailEnabled()
+	needClock := r != nil || (sampled && !unwinds) || (t != nil && t.TailEnabled())
 	var start time.Time
 	if needClock {
 		start = time.Now()
@@ -577,25 +547,25 @@ func (p *Proc) syscallTraced(t *trace.Tracer, pl *dispatchPlan, num int, a sys.A
 			// Reaching here means execve failed and returned an errno: drop
 			// the entry-recorded span as causal parent so later calls do not
 			// chain under an exec that never happened.
-			p.causeSpan.Store(0)
+			p.causeSpan = 0
 		} else {
 			span.Start = t.At(start)
 			span.Dur = int64(d)
 			span.Err = int32(err)
-			span.Link = p.curLink.Load()
+			span.Link = p.curLink
 			t.Record(span)
 		}
-	} else if !unwinds && t.Tail(d, err != sys.OK) {
+	} else if t != nil && !unwinds && t.Tail(d, err != sys.OK) {
 		// Tail retention: a slow or failed call that head sampling skipped
 		// is recorded as a root-only span.
-		if p.traceID.Load() == 0 {
-			p.traceID.Store(t.NewTrace())
+		if p.traceID == 0 {
+			p.traceID = t.NewTrace()
 		}
 		t.Record(trace.Span{
-			Trace:  p.traceID.Load(),
+			Trace:  p.traceID,
 			ID:     t.NewSpanID(),
-			Parent: p.causeSpan.Load(),
-			Link:   p.curLink.Load(),
+			Parent: p.causeSpan,
+			Link:   p.curLink,
 			PID:    int32(p.pid),
 			Num:    int32(num),
 			Layer:  trace.LayerRoot,
@@ -603,11 +573,9 @@ func (p *Proc) syscallTraced(t *trace.Tracer, pl *dispatchPlan, num int, a sys.A
 			Start:  t.At(start),
 			Dur:    int64(d),
 		})
-		p.causeSpan.Store(0)
+		p.causeSpan = 0
 	}
-	p.curSpan.Store(0)
-	p.spanParent.Store(0)
-	p.curLink.Store(0)
+	p.curSpan, p.spanParent, p.curLink = 0, 0, 0
 	p.checkSignals()
 	return rv, err
 }
@@ -668,24 +636,12 @@ func (p *Proc) EmuBytes(b []byte) (sys.Word, sys.Errno) {
 // kernel, regardless of stack depth.
 func (p *Proc) dispatch(pl *dispatchPlan, below int, num int, a sys.Args) (sys.Retval, sys.Errno) {
 	if below > 0 {
-		if pl.interest != nil {
-			if mask := pl.interestBelow(below, num); mask != 0 {
-				i := topInterested(mask)
-				if s := p.k.sup.Load(); s != nil {
-					return s.call(p, pl, i, num, a)
-				}
-				return p.invokeLayer(pl, i, num, a)
+		if mask := pl.interestBelow(below, num); mask != 0 {
+			i := topInterested(mask)
+			if s := p.k.sup.Load(); s != nil {
+				return s.call(p, pl, i, num, a)
 			}
-		} else {
-			// Stack too deep for the bitmap: linear interest walk.
-			for i := below - 1; i >= 0; i-- {
-				if pl.layers[i].Wants(num) {
-					if s := p.k.sup.Load(); s != nil {
-						return s.call(p, pl, i, num, a)
-					}
-					return p.invokeLayer(pl, i, num, a)
-				}
-			}
+			return p.invokeLayer(pl, i, num, a)
 		}
 	}
 	// Kernel-side fault injection sits below every emulation layer; while
@@ -700,8 +656,8 @@ func (p *Proc) dispatch(pl *dispatchPlan, below int, num int, a sys.Args) (sys.R
 			return rv, err
 		}
 	}
-	if r := p.k.tel.Load(); r != nil || p.curSpan.Load() != 0 {
-		return p.kernelCallTraced(r, num, a)
+	if r := p.k.tel.Load(); r != nil || p.curSpan != 0 {
+		return p.callTraced(r, pl, -1, num, a)
 	}
 	return p.k.Syscall(p, num, a)
 }
@@ -712,47 +668,52 @@ func (p *Proc) dispatch(pl *dispatchPlan, below int, num int, a sys.Args) (sys.R
 // through it too, so supervised upcalls get the same per-call
 // attribution and spans as bare dispatch.
 func (p *Proc) invokeLayer(pl *dispatchPlan, i, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	if r := p.k.tel.Load(); r != nil || p.curSpan.Load() != 0 {
-		return p.layerCallTraced(r, pl, i, num, a)
+	if r := p.k.tel.Load(); r != nil || p.curSpan != 0 {
+		return p.callTraced(r, pl, i, num, a)
 	}
 	return pl.layers[i].Handler.Syscall(pl.ctxs[i], num, a)
 }
 
-// layerCallTraced runs layer i's handler with instrumentation. When a
-// registry is installed (r may be nil) it attributes the layer's self
+// callTraced runs one instance of the system interface with
+// instrumentation: layer i's handler, or the kernel's implementation
+// when i is -1 (attribution slot and span layer 1+i either way). When a
+// registry is installed (r may be nil) it attributes the instance's self
 // time — wall time minus the time nested downcalls spent in lower
-// instances (accumulated into p.telChild by the frames below this one).
-// When the call in flight carries an open root span, it additionally
-// opens a child span under the innermost open span, so nested Down
-// chains render as nested intervals. If a panic travels through this
-// frame — the exit/exec control-flow unwinds, or an agent bug headed
-// for the supervisor above — the open span is recorded entry-style
-// (Dur=-1) on the way out: downcalls that completed under it (the
-// toolkit's exec emulation reads the image and closes descriptors
+// instances (accumulated into p.telChild by the frames below this one;
+// the kernel makes none). When the call in flight carries an open root
+// span, it additionally opens a child span under the innermost open
+// span, so nested Down chains render as nested intervals. If a panic
+// travels through this frame — the exit/exec control-flow unwinds, or an
+// agent bug headed for the supervisor above — the open span is recorded
+// entry-style (Dur=-1) on the way out: downcalls that completed under it
+// (the toolkit's exec emulation reads the image and closes descriptors
 // before the final unwinding execve) already reference it as their
-// parent and must not dangle.
-func (p *Proc) layerCallTraced(r *telemetry.Registry, pl *dispatchPlan, i, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	l := pl.layers[i]
+// parent and must not dangle, and the kernel leg shows where the call
+// went.
+func (p *Proc) callTraced(r *telemetry.Registry, pl *dispatchPlan, i, num int, a sys.Args) (sys.Retval, sys.Errno) {
+	var name string // the kernel's attribution slot is pre-named
+	if i >= 0 {
+		name = pl.layers[i].Name
+	}
 	var t *trace.Tracer
 	var span trace.Span
-	var savedParent uint64
-	if p.curSpan.Load() != 0 {
+	savedParent := p.spanParent
+	if p.curSpan != 0 {
 		if t = p.k.trc.Load(); t != nil {
 			span = trace.Span{
-				Trace:  p.traceID.Load(),
+				Trace:  p.traceID,
 				ID:     t.NewSpanID(),
-				Parent: p.spanParent.Load(),
+				Parent: p.spanParent,
 				PID:    int32(p.pid),
 				Num:    int32(num),
 				Layer:  int32(1 + i),
-				Name:   l.Name,
+				Name:   name,
 			}
-			savedParent = p.spanParent.Load()
-			p.spanParent.Store(span.ID)
+			p.spanParent = span.ID
 		}
 	}
-	saved := p.telChild.Load()
-	p.telChild.Store(0)
+	saved := p.telChild
+	p.telChild = 0
 	start := time.Now()
 	if t != nil {
 		defer func() {
@@ -764,67 +725,20 @@ func (p *Proc) layerCallTraced(r *telemetry.Registry, pl *dispatchPlan, i, num i
 			}
 		}()
 	}
-	rv, err := l.Handler.Syscall(pl.ctxs[i], num, a)
+	var rv sys.Retval
+	var err sys.Errno
+	if i < 0 {
+		rv, err = p.k.Syscall(p, num, a)
+	} else {
+		rv, err = pl.layers[i].Handler.Syscall(pl.ctxs[i], num, a)
+	}
 	elapsed := time.Since(start)
 	if r != nil {
-		self := elapsed - time.Duration(p.telChild.Load())
-		if self < 0 {
-			self = 0
-		}
-		r.RecordLayer(1+i, l.Name, self)
+		r.RecordLayer(1+i, name, max(elapsed-time.Duration(p.telChild), 0))
 	}
-	p.telChild.Store(saved + int64(elapsed))
+	p.telChild = saved + int64(elapsed)
 	if t != nil {
-		p.spanParent.Store(savedParent)
-		span.Start = t.At(start)
-		span.Dur = int64(elapsed)
-		span.Err = int32(err)
-		t.Record(span)
-	}
-	return rv, err
-}
-
-// kernelCallTraced runs the kernel's implementation with
-// instrumentation: self time to the kernel attribution slot when a
-// registry is installed (r may be nil), and a kernel-leg child span when
-// the call in flight carries an open root span. The kernel makes no
-// downcalls, so its self time is its wall time.
-func (p *Proc) kernelCallTraced(r *telemetry.Registry, num int, a sys.Args) (sys.Retval, sys.Errno) {
-	var t *trace.Tracer
-	var span trace.Span
-	if p.curSpan.Load() != 0 {
-		if t = p.k.trc.Load(); t != nil {
-			span = trace.Span{
-				Trace:  p.traceID.Load(),
-				ID:     t.NewSpanID(),
-				Parent: p.spanParent.Load(),
-				PID:    int32(p.pid),
-				Num:    int32(num),
-				Layer:  trace.LayerKernel,
-			}
-		}
-	}
-	saved := p.telChild.Load()
-	start := time.Now()
-	if t != nil {
-		// Exit and exec unwind through here; record the kernel leg
-		// entry-style so the trace shows where the call went.
-		defer func() {
-			if rec := recover(); rec != nil {
-				span.Start = t.At(start)
-				span.Dur = -1
-				t.Record(span)
-				panic(rec)
-			}
-		}()
-	}
-	rv, err := p.k.Syscall(p, num, a)
-	elapsed := time.Since(start)
-	if r != nil {
-		r.RecordLayer(0, "kernel", elapsed)
-	}
-	p.telChild.Store(saved + int64(elapsed))
-	if t != nil {
+		p.spanParent = savedParent
 		span.Start = t.At(start)
 		span.Dur = int64(elapsed)
 		span.Err = int32(err)

@@ -170,11 +170,11 @@ func (p *Proc) checkSignalsSlow() {
 		// receiver does next (e.g. a handler's first system call).
 		if causeSpan != 0 {
 			if t := p.k.trc.Load(); t != nil {
-				if p.traceID.Load() == 0 {
-					p.traceID.Store(causeTrace)
+				if p.traceID == 0 {
+					p.traceID = causeTrace
 				}
 				sp := trace.Span{
-					Trace: p.traceID.Load(),
+					Trace: p.traceID,
 					ID:    t.NewSpanID(),
 					Link:  causeSpan,
 					PID:   int32(p.pid),
@@ -183,7 +183,7 @@ func (p *Proc) checkSignalsSlow() {
 					Start: t.Now(),
 				}
 				t.Record(sp)
-				p.causeSpan.Store(sp.ID)
+				p.causeSpan = sp.ID
 			}
 		}
 

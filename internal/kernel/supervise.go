@@ -70,8 +70,8 @@ func ParseSuperviseMode(s string) (mode SuperviseMode, ok bool, err error) {
 type SupervisorConfig struct {
 	Mode SuperviseMode
 
-	// Errno is returned for a contained failure in strict mode (and for
-	// deadline overruns in every mode). Default EFAULT.
+	// Errno is returned for a contained failure in strict mode. Default
+	// EFAULT.
 	Errno sys.Errno
 
 	// TripThreshold is the failure count that quarantines a layer.
@@ -89,17 +89,9 @@ type SupervisorConfig struct {
 	// disables re-admission entirely (quarantine is permanent).
 	Cooldown time.Duration
 
-	// Deadline, when positive, bounds each supervised upcall: a layer
-	// still running at the deadline is abandoned, the overrun feeds the
-	// breaker, and the call fails with Errno. The abandoned goroutine
-	// cannot be killed; its eventual result is discarded and its side
-	// effects may still land, so deadlines are meant for agent-level
-	// hangs in non-blocking calls and default to off.
-	Deadline time.Duration
-
 	// OnQuarantine, when set, runs (outside all kernel locks) each time
 	// a layer is quarantined, with the layer's name and the stack of the
-	// panic that tripped it (nil for deadline trips).
+	// panic that tripped it.
 	OnQuarantine func(layer string, stack []byte)
 }
 
@@ -121,10 +113,8 @@ type breaker struct {
 	state   atomic.Int32
 	probing atomic.Bool // a half-open probe call is in flight
 
-	panics    atomic.Uint64
-	overruns  atomic.Uint64
-	contained atomic.Uint64
-	trips     atomic.Uint64
+	panics atomic.Uint64 // contained panics: every contained failure is one
+	trips  atomic.Uint64
 
 	mu        sync.Mutex
 	failures  []time.Time
@@ -236,7 +226,7 @@ func (s *Supervisor) Gauges() []telemetry.NamedCounter {
 	}
 	s.mu.Unlock()
 	sort.Slice(bs, func(i, j int) bool { return bs[i].name < bs[j].name })
-	out := make([]telemetry.NamedCounter, 0, 6*len(bs))
+	out := make([]telemetry.NamedCounter, 0, 5*len(bs))
 	for _, b := range bs {
 		pre := "supervise.layer." + b.name + "."
 		st := b.state.Load()
@@ -246,8 +236,7 @@ func (s *Supervisor) Gauges() []telemetry.NamedCounter {
 		}
 		out = append(out,
 			telemetry.NamedCounter{Name: pre + "panics", Value: b.panics.Load()},
-			telemetry.NamedCounter{Name: pre + "overruns", Value: b.overruns.Load()},
-			telemetry.NamedCounter{Name: pre + "contained", Value: b.contained.Load()},
+			telemetry.NamedCounter{Name: pre + "contained", Value: b.panics.Load()},
 			telemetry.NamedCounter{Name: pre + "trips", Value: b.trips.Load()},
 			telemetry.NamedCounter{Name: pre + "quarantined", Value: q},
 			// state distinguishes half-open (2) from open (1) and closed
@@ -266,8 +255,7 @@ func (s *Supervisor) call(p *Proc, pl *dispatchPlan, i, num int, a sys.Args) (sy
 	case breakerOpen:
 		// Quarantined: transparent call-down past the layer. The plan is
 		// republished without its interest bits at trip time, so this
-		// path only runs for calls that entered under the old plan (or
-		// for stacks too deep for the compiled bitmap).
+		// path only runs for calls that entered under the old plan.
 		return p.dispatch(pl, i, num, a)
 	case breakerHalfOpen:
 		if !b.probing.CompareAndSwap(false, true) {
@@ -308,17 +296,13 @@ func captureStack() []byte {
 	return buf[:runtime.Stack(buf, false)]
 }
 
-// run executes the upcall with containment (and the optional deadline),
-// feeding the breaker on failure. failed is true when the layer panicked
-// or overran; the returned result is only meaningful when failed is
-// false.
+// run executes the upcall with containment, feeding the breaker on a
+// panic. failed is true when the layer panicked; the returned result is
+// only meaningful when failed is false.
 func (s *Supervisor) run(p *Proc, pl *dispatchPlan, i, num int, a sys.Args, b *breaker) (sys.Retval, sys.Errno, bool) {
-	if s.cfg.Deadline > 0 {
-		return s.runDeadline(p, pl, i, num, a, b)
-	}
 	rv, err, pan := p.runLayerContained(pl, i, num, a)
 	if pan != nil {
-		s.noteFailure(p, b, "panic", pan)
+		s.noteFailure(p, b, pan)
 		return sys.Retval{}, s.errno, true
 	}
 	return rv, err, false
@@ -342,77 +326,21 @@ func (p *Proc) runLayerContained(pl *dispatchPlan, i, num int, a sys.Args) (rv s
 	return
 }
 
-// layerOutcome crosses the deadline goroutine boundary.
-type layerOutcome struct {
-	rv     sys.Retval
-	err    sys.Errno
-	pan    *panicInfo
-	unwind any
-}
-
-// runDeadline runs the upcall on its own goroutine so a stuck layer can
-// be abandoned. An exit/exec unwind raised inside the layer is forwarded
-// and re-panicked on the process goroutine. On overrun the layer
-// goroutine keeps running detached — Go cannot kill it — and its
-// eventual result is discarded.
-func (s *Supervisor) runDeadline(p *Proc, pl *dispatchPlan, i, num int, a sys.Args, b *breaker) (sys.Retval, sys.Errno, bool) {
-	ch := make(chan layerOutcome, 1)
-	go func() {
-		var o layerOutcome
-		defer func() { ch <- o }()
-		defer func() {
-			switch r := recover().(type) {
-			case nil:
-			case exitUnwind, execUnwind:
-				o.unwind = r
-			default:
-				o.pan = &panicInfo{val: r, stack: captureStack()}
-			}
-		}()
-		o.rv, o.err = p.invokeLayer(pl, i, num, a)
-	}()
-	t := time.NewTimer(s.cfg.Deadline)
-	defer t.Stop()
-	select {
-	case o := <-ch:
-		if o.unwind != nil {
-			panic(o.unwind)
-		}
-		if o.pan != nil {
-			s.noteFailure(p, b, "panic", o.pan)
-			return sys.Retval{}, s.errno, true
-		}
-		return o.rv, o.err, false
-	case <-t.C:
-		s.noteFailure(p, b, "overrun", &panicInfo{
-			val: fmt.Sprintf("upcall %s exceeded %v deadline", sys.SyscallName(num), s.cfg.Deadline),
-		})
-		return sys.Retval{}, s.errno, true
-	}
-}
-
-// noteFailure accounts one contained failure: counters, a flight-ring
+// noteFailure accounts one contained panic: counters, a flight-ring
 // event carrying the layer name, the breaker's failure window, and —
 // past the threshold — the trip.
-func (s *Supervisor) noteFailure(p *Proc, b *breaker, kind string, pan *panicInfo) {
+func (s *Supervisor) noteFailure(p *Proc, b *breaker, pan *panicInfo) {
 	msg := fmt.Sprint(pan.val)
-	if kind == "panic" {
-		b.panics.Add(1)
-	} else {
-		b.overruns.Add(1)
-	}
-	b.contained.Add(1)
+	b.panics.Add(1)
 	if r := s.k.tel.Load(); r != nil {
 		r.Counter("supervise.contained").Add(1)
-		r.RecordFileEvent(p.pid, "supervise:"+kind, b.name, trimMsg(msg), -1, int32(s.errno))
+		r.RecordFileEvent(p.pid, "supervise:panic", b.name, trimMsg(msg), -1, int32(s.errno))
 	}
 
 	trip := false
 	b.mu.Lock()
 	b.lastPanic = msg
-	if pan.stack != nil {
-		b.lastStack = pan.stack
-	}
+	b.lastStack = pan.stack
 	now := time.Now()
 	b.failures = append(b.failures, now)
 	if w := s.cfg.Window; w > 0 {

@@ -260,41 +260,6 @@ func TestSupervisorProbeFailureRequarantines(t *testing.T) {
 	}
 }
 
-func TestSupervisorDeadlineOverrun(t *testing.T) {
-	release := make(chan struct{})
-	k, p, _ := superviseWorld(t, "stuck", func(c sys.Ctx, num int, a sys.Args) (sys.Retval, sys.Errno) {
-		<-release // hang until the test lets go
-		return callDown(c, num, a)
-	})
-	defer close(release)
-	s := kernel.NewSupervisor(k, kernel.SupervisorConfig{
-		TripThreshold: 1,
-		Cooldown:      -1,
-		Deadline:      20 * time.Millisecond,
-	})
-	k.SetSupervisor(s)
-
-	if _, err := p.Syscall(sys.SYS_getpid, sys.Args{}); err != sys.EFAULT {
-		t.Fatalf("overrun call: err = %s, want EFAULT", err.Name())
-	}
-	if got := s.QuarantinedLayers(); len(got) != 1 || got[0] != "stuck" {
-		t.Fatalf("QuarantinedLayers = %v, want [stuck]", got)
-	}
-	var overruns uint64
-	for _, g := range s.Gauges() {
-		if g.Name == "supervise.layer.stuck.overruns" {
-			overruns = g.Value
-		}
-	}
-	if overruns != 1 {
-		t.Fatalf("overruns = %d, want 1", overruns)
-	}
-	msg, _, ok := s.LastPanic("stuck")
-	if !ok || !strings.Contains(msg, "deadline") {
-		t.Fatalf("LastPanic = %q, %v", msg, ok)
-	}
-}
-
 func TestSupervisorRemovalRestoresInterest(t *testing.T) {
 	var calls atomic.Int64
 	k, p, _ := superviseWorld(t, "boom", func(c sys.Ctx, num int, a sys.Args) (sys.Retval, sys.Errno) {
@@ -321,49 +286,38 @@ func TestSupervisorRemovalRestoresInterest(t *testing.T) {
 }
 
 // TestSupervisorExitUnwind runs a real guest under a supervised blanket
-// layer: the exit and exec unwinds must pass through containment (and the
-// deadline goroutine) untouched or process termination would be swallowed.
+// layer: the exit and exec unwinds must pass through containment
+// untouched or process termination would be swallowed.
 func TestSupervisorExitUnwind(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		deadline time.Duration
-	}{
-		{"inline", 0},
-		{"deadline-goroutine", 5 * time.Second},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := image.NewRegistry()
-			reg.Register("main", libc.Main(func(lt *libc.T) int {
-				lt.Printf("pid %d alive\n", lt.Getpid())
-				return 7
-			}))
-			k := kernel.New(reg)
-			if err := k.InstallProgram("/bin/main", "main"); err != nil {
-				t.Fatal(err)
-			}
-			k.SetSupervisor(kernel.NewSupervisor(k, kernel.SupervisorConfig{
-				Mode:     kernel.SuperviseStrict,
-				Deadline: tc.deadline,
-			}))
-			p := k.NewProc()
-			if err := p.OpenConsole(); err != nil {
-				t.Fatal(err)
-			}
-			passthrough := kernel.NewEmuLayer(sys.HandlerFunc(callDown))
-			passthrough.Name = "passthrough"
-			passthrough.RegisterAll()
-			p.PushEmulation(passthrough)
-			if err := p.Start("/bin/main", []string{"main"}, nil); err != nil {
-				t.Fatal(err)
-			}
-			st := k.WaitExit(p)
-			out := k.Console().TakeOutput()
-			if !sys.WIfExited(st) || sys.WExitStatus(st) != 7 {
-				t.Fatalf("status = %#x, output:\n%s", st, out)
-			}
-			if !strings.Contains(out, "alive") {
-				t.Fatalf("guest output missing: %q", out)
-			}
-		})
-	}
+	t.Run("inline", func(t *testing.T) {
+		reg := image.NewRegistry()
+		reg.Register("main", libc.Main(func(lt *libc.T) int {
+			lt.Printf("pid %d alive\n", lt.Getpid())
+			return 7
+		}))
+		k := kernel.New(reg)
+		if err := k.InstallProgram("/bin/main", "main"); err != nil {
+			t.Fatal(err)
+		}
+		k.SetSupervisor(kernel.NewSupervisor(k, kernel.SupervisorConfig{Mode: kernel.SuperviseStrict}))
+		p := k.NewProc()
+		if err := p.OpenConsole(); err != nil {
+			t.Fatal(err)
+		}
+		passthrough := kernel.NewEmuLayer(sys.HandlerFunc(callDown))
+		passthrough.Name = "passthrough"
+		passthrough.RegisterAll()
+		p.PushEmulation(passthrough)
+		if err := p.Start("/bin/main", []string{"main"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		st := k.WaitExit(p)
+		out := k.Console().TakeOutput()
+		if !sys.WIfExited(st) || sys.WExitStatus(st) != 7 {
+			t.Fatalf("status = %#x, output:\n%s", st, out)
+		}
+		if !strings.Contains(out, "alive") {
+			t.Fatalf("guest output missing: %q", out)
+		}
+	})
 }

@@ -223,8 +223,8 @@ func (k *Kernel) pipeRead(p *Proc, pp *Pipe, cnt int, bufAddr sys.Word, flags in
 		if pp.count > 0 {
 			// Causal tracing: link this read's span to the last traced
 			// writer's span (under pp.mu, same as the data it explains).
-			if pp.edgeSpan != 0 && p.curSpan.Load() != 0 {
-				p.curLink.Store(pp.edgeSpan)
+			if pp.edgeSpan != 0 && p.curSpan != 0 {
+				p.curLink = pp.edgeSpan
 			}
 			bp, buf := getIOBuf(min(cnt, pp.count))
 			n := pp.read(buf)
@@ -261,7 +261,7 @@ func (k *Kernel) pipeWrite(p *Proc, pp *Pipe, buf []byte, flags int) (int, sys.E
 	// Causal tracing: publish this write's span for the next traced
 	// reader. Latest traced writer wins, which matches what a reader
 	// draining the buffer most plausibly consumed last.
-	if s := p.curSpan.Load(); s != 0 {
+	if s := p.curSpan; s != 0 {
 		pp.edgeSpan = s
 	}
 	total := 0

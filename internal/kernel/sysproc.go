@@ -83,7 +83,7 @@ func (k *Kernel) finishExit(p *Proc, status sys.Word) {
 	// the zombie transition makes the process reapable. Holding k.pmu
 	// here is what makes the copy visible to the reaping parent, which
 	// reads exitSpan under k.pmu.
-	p.exitSpan = p.curSpan.Load()
+	p.exitSpan = p.curSpan
 	p.exitStatus = status
 	p.setStateLocked(procZombie)
 	p.sigMu.Lock()
@@ -94,7 +94,7 @@ func (k *Kernel) finishExit(p *Proc, status sys.Word) {
 		init.childQ.wakeAll()
 	}
 	if parent, ok := k.procs[p.ppid]; ok && p.ppid != 0 {
-		noteSigCause(parent, p.traceID.Load(), p.curSpan.Load())
+		noteSigCause(parent, p.traceID, p.curSpan)
 		k.postSignalPLocked(parent, sys.SIGCHLD)
 		parent.childQ.wakeAll()
 	}
@@ -186,8 +186,8 @@ func (k *Kernel) sysFork(p *Proc) (sys.Retval, sys.Errno) {
 	// Causal tracing: the child joins the parent's trace and its first
 	// sampled span parents to the fork span. This runs on the parent's
 	// goroutine before publishProc, so the copy races with nothing.
-	child.traceID.Store(p.traceID.Load())
-	child.causeSpan.Store(p.curSpan.Load())
+	child.traceID = p.traceID
+	child.causeSpan = p.curSpan
 	k.publishProc(child, p)
 	k.trace(p, "fork", "", "", child.pid, sys.OK)
 	child.started.Store(true)
@@ -220,8 +220,8 @@ func (k *Kernel) sysWait4(p *Proc, a sys.Args) (sys.Retval, sys.Errno) {
 			child.setStateLocked(procDead)
 			// Causal tracing: link this wait span to the child's exit span
 			// (written in finishExit; the shared k.pmu carries it here).
-			if child.exitSpan != 0 && p.curSpan.Load() != 0 {
-				p.curLink.Store(child.exitSpan)
+			if child.exitSpan != 0 && p.curSpan != 0 {
+				p.curLink = child.exitSpan
 			}
 			ru := child.rusageSelf()
 			addRusage(&ru, child.childrenRu)

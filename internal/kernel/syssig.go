@@ -27,7 +27,7 @@ func (k *Kernel) sysKill(p *Proc, a sys.Args) (sys.Retval, sys.Errno) {
 			// delivery span can link back to it. Noted before the post:
 			// a running target may take the signal as soon as it is
 			// pending.
-			noteSigCause(t, p.traceID.Load(), p.curSpan.Load())
+			noteSigCause(t, p.traceID, p.curSpan)
 			k.postSignalPLocked(t, sig)
 		}
 	}

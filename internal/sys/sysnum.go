@@ -182,7 +182,7 @@ func Syscalls() []int {
 // number, the inverse of SyscallName.
 func SyscallByName(name string) (int, bool) {
 	for n, s := range sysName {
-		if s == name {
+		if s == name && s != "" { // unimplemented numbers have no name
 			return n, true
 		}
 	}

@@ -76,14 +76,14 @@ type Registry struct {
 	// exported counter list without per-event recording cost.
 	gauges atomic.Pointer[func() []NamedCounter]
 
-	ring ring
+	ring Ring[Event]
 }
 
 // NewRegistry creates an empty registry with the default flight-ring
 // capacity.
 func NewRegistry() *Registry {
 	r := &Registry{start: time.Now(), named: make(map[string]*Counter)}
-	r.ring.init(defaultRingSize)
+	r.ring.Init(defaultRingSize)
 	kernel := "kernel"
 	r.layers[0].name.Store(&kernel)
 	return r
@@ -244,7 +244,7 @@ func (r *Registry) RecordLayer(layer int, name string, self time.Duration) {
 // RecordEvent appends a system call event to the flight ring. dur < 0
 // marks a call recorded at entry (one that will not return, like exit).
 func (r *Registry) RecordEvent(pid, num int, errno int32, dur time.Duration) {
-	r.ring.record(Event{
+	r.ring.Record(Event{
 		Nanos: r.sinceStart(),
 		PID:   int32(pid),
 		Num:   int32(num),
@@ -256,7 +256,7 @@ func (r *Registry) RecordEvent(pid, num int, errno int32, dur time.Duration) {
 // RecordFileEvent appends a kernel file-reference event (the kernel
 // tracer spine) to the flight ring.
 func (r *Registry) RecordFileEvent(pid int, op, path, path2 string, fd int, errno int32) {
-	r.ring.record(Event{
+	r.ring.Record(Event{
 		Nanos: r.sinceStart(),
 		PID:   int32(pid),
 		Num:   -1,
@@ -270,4 +270,4 @@ func (r *Registry) RecordFileEvent(pid int, op, path, path2 string, fd int, errn
 }
 
 // FlightEvents returns the ring's surviving events, oldest first.
-func (r *Registry) FlightEvents() []Event { return r.ring.snapshot() }
+func (r *Registry) FlightEvents() []Event { return r.ring.Snapshot() }

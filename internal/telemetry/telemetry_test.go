@@ -97,12 +97,12 @@ func TestObserveLatencyAndSyscallQuantiles(t *testing.T) {
 }
 
 func TestRingOverwritesOldest(t *testing.T) {
-	var r ring
-	r.init(16)
+	var r Ring[Event]
+	r.Init(16)
 	for i := 0; i < 100; i++ {
-		r.record(Event{PID: int32(i)})
+		r.Record(Event{PID: int32(i)})
 	}
-	evs := r.snapshot()
+	evs := r.Snapshot()
 	if len(evs) != 16 {
 		t.Fatalf("len = %d, want 16", len(evs))
 	}
@@ -129,17 +129,17 @@ func TestRingOverwritesOldest(t *testing.T) {
 // the resulting gap rather than splice ancient events into the middle of
 // recent history.
 func TestRingTrimsStaleSurvivor(t *testing.T) {
-	var r ring
-	r.init(16)
+	var r Ring[Event]
+	r.Init(16)
 	for i := 0; i < 100; i++ {
-		r.record(Event{PID: int32(i)})
+		r.Record(Event{PID: int32(i)})
 	}
 	s := &r.shards[5]
 	s.mu.Lock()
 	s.slots[0] = Event{Seq: 5, PID: 5}
 	s.mu.Unlock()
 
-	evs := r.snapshot()
+	evs := r.Snapshot()
 	if len(evs) == 0 {
 		t.Fatal("empty dump")
 	}
@@ -330,5 +330,20 @@ func TestLazyRingShards(t *testing.T) {
 	// The snapshot sees the event; empty shards contribute nothing.
 	if evs := r.FlightEvents(); len(evs) != 1 {
 		t.Fatalf("flight events %d", len(evs))
+	}
+}
+
+// TestRingRecordAllocFree pins the flight recorder's recording path:
+// once every ring shard exists, recording an event allocates nothing.
+func TestRingRecordAllocFree(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < ringShards; i++ {
+		r.RecordEvent(1, 5, 0, time.Microsecond)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		r.RecordEvent(1, 5, 0, time.Microsecond)
+		r.RecordFileEvent(1, "open", "/etc/passwd", "", 3, 0)
+	}); n != 0 {
+		t.Fatalf("recording allocates %v times per event pair", n)
 	}
 }

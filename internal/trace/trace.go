@@ -17,17 +17,16 @@
 // only cost on the system call path is one atomic pointer load. Once
 // installed, head sampling (Sampled) decides per call whether to record
 // spans, and tail retention (Tail) additionally keeps unsampled calls
-// that ran slow or failed. Spans land in sharded overwrite-oldest
-// buffers under brief per-shard locks with a global sequence number —
-// the same discipline as the telemetry flight ring.
+// that ran slow or failed. Spans land in a telemetry.Ring, the same
+// sharded overwrite-oldest buffer the flight recorder uses.
 package trace
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"interpose/internal/telemetry"
 )
 
 // Span layer codes. Non-negative layers mirror telemetry's attribution
@@ -60,6 +59,12 @@ type Span struct {
 	Name   string
 }
 
+// WithSeq returns sp stamped with ring sequence number seq.
+func (sp Span) WithSeq(seq uint64) Span { sp.Seq = seq; return sp }
+
+// Sequence returns sp's ring sequence number.
+func (sp Span) Sequence() uint64 { return sp.Seq }
+
 // Config tunes a Tracer. The zero value of each field selects the
 // documented default.
 type Config struct {
@@ -81,19 +86,8 @@ type Config struct {
 	Capacity int
 }
 
-const (
-	defaultCapacity = 1 << 16
-	// spanShards spreads span slots across locks; the global sequence
-	// number round-robins spans over shards so reconstruction by Seq
-	// restores total order (the flight-ring discipline).
-	spanShards = 8
-)
-
-type spanShard struct {
-	mu    sync.Mutex
-	slots []Span
-	n     uint64 // spans ever written to this shard
-}
+// defaultCapacity is the default total span-slot count.
+const defaultCapacity = 1 << 16
 
 // Tracer is one span-tracing domain: sampling state, causal-edge
 // counters, and the sharded span buffer.
@@ -110,11 +104,8 @@ type Tracer struct {
 
 	ids    atomic.Uint64 // span id allocator (first id is 1)
 	traces atomic.Uint64 // trace id allocator (first id is 1)
-	seq    atomic.Uint64 // global record order
 
-	recorded atomic.Uint64
-
-	shards [spanShards]spanShard
+	spans telemetry.Ring[Span]
 }
 
 // NewTracer builds a tracer with defaults applied.
@@ -124,13 +115,7 @@ func NewTracer(cfg Config) *Tracer {
 	if cap <= 0 {
 		cap = defaultCapacity
 	}
-	per := cap / spanShards
-	if per < 1 {
-		per = 1
-	}
-	for i := range t.shards {
-		t.shards[i].slots = make([]Span, per)
-	}
+	t.spans.Init(cap)
 	t.SetSample(cfg.Sample)
 	t.slow.Store(int64(cfg.Slow))
 	t.tailErrs.Store(cfg.TailErrors)
@@ -221,74 +206,20 @@ func (t *Tracer) Now() int64 { return int64(time.Since(t.start)) }
 // At converts an absolute time to the span timebase.
 func (t *Tracer) At(tm time.Time) int64 { return int64(tm.Sub(t.start)) }
 
-// Record stores sp, overwriting its shard's oldest slot. The shard lock
-// covers a single struct copy.
-func (t *Tracer) Record(sp Span) {
-	sp.Seq = t.seq.Add(1) - 1
-	s := &t.shards[sp.Seq%spanShards]
-	s.mu.Lock()
-	s.slots[s.n%uint64(len(s.slots))] = sp
-	s.n++
-	s.mu.Unlock()
-	t.recorded.Add(1)
-}
+// Record stores sp, overwriting the oldest span in its ring shard.
+func (t *Tracer) Record(sp Span) { t.spans.Record(sp) }
 
 // Stats returns the number of spans recorded and the number lost to
-// buffer overwrite, for the trace.* gauges.
+// buffer overwrite, for the trace.* gauges. Both only ever grow.
 func (t *Tracer) Stats() (recorded, dropped uint64) {
-	recorded = t.recorded.Load()
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		if over := s.n; over > uint64(len(s.slots)) {
-			dropped += over - uint64(len(s.slots))
-		}
-		s.mu.Unlock()
-	}
-	return recorded, dropped
+	return t.spans.Recorded(), t.spans.Dropped()
 }
 
 // Clear drops all buffered spans (the /dev/trace "clear" command). Id
 // and sequence counters keep running, so spans recorded before and after
 // a clear still order globally.
-func (t *Tracer) Clear() {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		s.n = 0
-		s.mu.Unlock()
-	}
-}
+func (t *Tracer) Clear() { t.spans.Clear() }
 
-// Snapshot returns the surviving spans sorted by sequence number and
-// trimmed to the longest gap-free suffix: shards overwrite
-// independently, so a recorder preempted between taking its sequence
-// number and filling its slot can leave a stale span behind while other
-// shards move on; everything before the resulting sequence gap is
-// dropped so the result reads as one contiguous recent history. In
-// steady state the per-shard windows line up exactly and nothing is
-// trimmed.
-func (t *Tracer) Snapshot() []Span {
-	var out []Span
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		live := s.n
-		if live > uint64(len(s.slots)) {
-			live = uint64(len(s.slots))
-		}
-		for j := uint64(0); j < live; j++ {
-			out = append(out, s.slots[j])
-		}
-		s.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	start := len(out) - 1
-	for start > 0 && out[start-1].Seq+1 == out[start].Seq {
-		start--
-	}
-	if start > 0 {
-		out = out[start:]
-	}
-	return out
-}
+// Snapshot returns the surviving spans oldest first, trimmed to one
+// gap-free run of sequence numbers (see telemetry.Ring.Snapshot).
+func (t *Tracer) Snapshot() []Span { return t.spans.Snapshot() }

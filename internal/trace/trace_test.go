@@ -125,38 +125,6 @@ func TestSnapshotOverwriteDrops(t *testing.T) {
 	}
 }
 
-// TestSnapshotTrimsStaleSurvivor forces the hazard the contiguous trim
-// exists for: one shard retains a stale old span while the others have
-// wrapped far past it. The dump must drop everything older than the
-// newest per-shard oldest-survivor rather than splice the stale span
-// into the middle of recent history.
-func TestSnapshotTrimsStaleSurvivor(t *testing.T) {
-	tr := NewTracer(Config{Capacity: 64})
-	const writes = 200
-	for i := 0; i < writes; i++ {
-		tr.Record(Span{Trace: 1, ID: tr.NewSpanID(), Layer: LayerRoot})
-	}
-	// Plant a stale span (tiny Seq) in one wrapped shard, simulating a
-	// recorder preempted between sequence draw and slot fill.
-	s := &tr.shards[3]
-	s.mu.Lock()
-	s.slots[0] = Span{Seq: 3, Trace: 1, ID: 999, Layer: LayerRoot}
-	s.mu.Unlock()
-
-	spans := tr.Snapshot()
-	for i, sp := range spans {
-		if sp.Seq == 3 {
-			t.Fatalf("stale span survived the trim at index %d", i)
-		}
-		if sp.Seq < writes-64 {
-			t.Fatalf("span Seq %d from before the buffer window survived the trim", sp.Seq)
-		}
-		if i > 0 && spans[i].Seq <= spans[i-1].Seq {
-			t.Fatalf("Seq not strictly increasing: %d follows %d", spans[i].Seq, spans[i-1].Seq)
-		}
-	}
-}
-
 func TestClear(t *testing.T) {
 	tr := NewTracer(Config{Capacity: 64})
 	for i := 0; i < 10; i++ {

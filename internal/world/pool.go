@@ -134,7 +134,7 @@ func (p *Pool) Acquire() (*World, error) {
 		p.kickRefillLocked()
 		p.mu.Unlock()
 		p.hits.Add(1)
-		w.Kernel().SetExtraGauges(p.Gauges)
+		w.Kernel().AddExtraGauges(p.Gauges)
 		return w, nil
 	}
 	p.kickRefillLocked()
@@ -144,7 +144,7 @@ func (p *Pool) Acquire() (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.Kernel().SetExtraGauges(p.Gauges)
+	w.Kernel().AddExtraGauges(p.Gauges)
 	return w, nil
 }
 

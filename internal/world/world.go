@@ -79,8 +79,6 @@ type SuperviseSpec struct {
 	// Cooldown is the quarantine time before a half-open probe
 	// (0 = kernel default, negative = permanent quarantine).
 	Cooldown time.Duration `json:"cooldown_ns,omitempty"`
-	// Deadline bounds each supervised upcall (0 = off).
-	Deadline time.Duration `json:"deadline_ns,omitempty"`
 }
 
 // AdmissionSpec is a tenant's session admission budget. Like Pool, the
@@ -121,7 +119,7 @@ type Spec struct {
 	RestoreFrom io.Reader `json:"-"`
 
 	// Agents is the agent stack, catalog specs as in `agentrun -a`,
-	// first closest to the kernel.
+	// first closest to the kernel; at most kernel.MaxLayers deep.
 	Agents []string `json:"agents,omitempty"`
 
 	// JournalPath attaches a write-ahead journal backed by this host
@@ -443,12 +441,8 @@ func (w *World) finishBoot(restored bool) error {
 				TripThreshold: s.TripThreshold,
 				Window:        s.Window,
 				Cooldown:      s.Cooldown,
-				Deadline:      s.Deadline,
 				OnQuarantine:  spec.OnQuarantine,
 			}))
-		} else if s.Deadline != 0 {
-			w.releaseStore()
-			return fmt.Errorf("world: supervise deadline requires strict or bypass mode")
 		}
 	}
 	if spec.Mirror != nil {
@@ -473,6 +467,9 @@ func (w *World) releaseStore() {
 // again rebuilds the stack from the spec (fresh agent state for a world
 // that wants per-session agents).
 func (w *World) Attach() error {
+	if n := len(w.spec.Agents); n > kernel.MaxLayers {
+		return fmt.Errorf("world: attach: %d agents exceed the %d-layer stack cap", n, kernel.MaxLayers)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var stack []core.Agent

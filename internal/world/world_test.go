@@ -271,6 +271,30 @@ func TestBootWithoutRegistry(t *testing.T) {
 	}
 }
 
+// TestAgentStackCap: a spec with more agents than the kernel's layer
+// cap is refused with an error by both construction paths, instead of
+// reaching PushEmulation's panic at the first session.
+func TestAgentStackCap(t *testing.T) {
+	deep := apps.Spec()
+	for i := 0; i <= kernel.MaxLayers; i++ {
+		deep.Agents = append(deep.Agents, "null")
+	}
+	if w, err := world.Boot(deep); err == nil {
+		w.Close()
+		t.Fatalf("boot with %d agents succeeded", len(deep.Agents))
+	}
+	base := boot(t, apps.Spec())
+	if w, err := world.Fork(base, deep); err == nil {
+		w.Close()
+		t.Fatalf("fork with %d agents succeeded", len(deep.Agents))
+	}
+	// At the cap itself the stack is legal and runs.
+	deep.Agents = deep.Agents[:kernel.MaxLayers]
+	if res := run(t, boot(t, deep), "echo", "deep"); res.Output != "deep\n" {
+		t.Fatalf("%d-agent stack: output %q", kernel.MaxLayers, res.Output)
+	}
+}
+
 // openFDs counts this process's open descriptors via /proc.
 func openFDs(t *testing.T) int {
 	t.Helper()
@@ -341,7 +365,7 @@ func TestCloseLeakFree(t *testing.T) {
 	}
 
 	runtime.GC()
-	// Transient goroutines (supervisor deadline timers) wind down
+	// Transient goroutines (supervisor cooldown timers) wind down
 	// asynchronously; give them a moment before declaring a leak.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseGoroutines && time.Now().Before(deadline) {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"interpose/internal/apps"
+	"interpose/internal/kernel"
 	"interpose/internal/world"
 	"interpose/internal/worldd"
 )
@@ -161,6 +162,27 @@ func TestBadRequests(t *testing.T) {
 	}
 	if !strings.Contains(body["error"], "argv") {
 		t.Fatalf("error body %+v", body)
+	}
+}
+
+// TestCreateRefusesDeepStack: an agent stack deeper than the kernel's
+// layer cap is a bad spec, refused at create (400) with nothing left in
+// the table, rather than a panic in the tenant's first session.
+func TestCreateRefusesDeepStack(t *testing.T) {
+	c := testServer(t)
+	spec := world.Spec{Name: "deep"}
+	for i := 0; i <= kernel.MaxLayers; i++ {
+		spec.Agents = append(spec.Agents, "null")
+	}
+	var body map[string]any
+	if st := c.do("POST", "/1.0/worlds", spec, &body); st != http.StatusBadRequest {
+		t.Fatalf("create with %d agents: status %d, want 400", len(spec.Agents), st)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "layer") {
+		t.Fatalf("error body %+v", body)
+	}
+	if n := c.srv.Worlds(); n != 0 {
+		t.Fatalf("%d worlds in table after a refused create", n)
 	}
 }
 
