@@ -141,7 +141,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: agentrun [-a agent[=arg]]... -- PROGRAM [args...]")
 		os.Exit(2)
 	}
-	// Pool members are anonymous COW clones of one template; a journal
+	// Pool members are anonymous forks of one template; a journal
 	// names one world's durable history and a checkpoint restores one
 	// world's state. Neither identity can be shared by a pool, so say so
 	// up front instead of letting the pool constructor refuse later.
@@ -190,7 +190,7 @@ func main() {
 
 	// -pool N takes the session world from a warm pool instead of
 	// booting it: the same spec, but the handout is a pool hit (or an
-	// inline COW fork on a miss) of a bare template booted here, and the
+	// inline fork on a miss) of a bare template booted here, and the
 	// pool's hit/miss/size/refill gauges land in the -stats counters.
 	// agentrun runs one session, so the leftover warm clones and the
 	// template are torn down as soon as one is taken; the session world

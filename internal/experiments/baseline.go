@@ -60,26 +60,30 @@ func check(tables []Table, baseline, measured []BenchEntry) (string, error) {
 
 	fmt.Fprintf(&report, "Guarded rows (limit +%.0f%% over baseline):\n", 100*MaxRegress)
 	for _, g := range guards {
-		b, okB := base[g]
-		m, okM := got[g]
+		be, okB := base[g]
+		me, okM := got[g]
+		b, m, u := be.NsPerOp, me.NsPerOp, unit(me)
 		switch {
 		case !okB:
 			failures = append(failures, fmt.Sprintf("%s: missing from baseline", g))
 		case !okM:
 			failures = append(failures, fmt.Sprintf("%s: not measured", g))
+		case be.Unit != "" && be.Unit != u:
+			// A baseline written before rows carried units has none.
+			failures = append(failures, fmt.Sprintf("%s: measured in %s, baseline in %s", g, u, be.Unit))
 		case b <= 0:
-			failures = append(failures, fmt.Sprintf("%s: degenerate baseline %dns", g, b))
+			failures = append(failures, fmt.Sprintf("%s: degenerate baseline %d%s", g, b, u))
 		default:
 			ratio := float64(m)/float64(b) - 1
 			status := "ok"
 			if ratio > MaxRegress {
 				status = "REGRESSED"
 				failures = append(failures,
-					fmt.Sprintf("%s: %dns vs baseline %dns (%+.0f%%, limit +%.0f%%)",
-						g, m, b, 100*ratio, 100*MaxRegress))
+					fmt.Sprintf("%s: %d%s vs baseline %d%s (%+.0f%%, limit +%.0f%%)",
+						g, m, u, b, u, 100*ratio, 100*MaxRegress))
 			}
-			fmt.Fprintf(&report, "  %-24s %10dns baseline %10dns  %+6.1f%%  %s\n",
-				g, m, b, 100*ratio, status)
+			fmt.Fprintf(&report, "  %-24s %10d%-2s baseline %10d%-2s  %+6.1f%%  %s\n",
+				g, m, u, b, u, 100*ratio, status)
 		}
 	}
 
@@ -88,8 +92,9 @@ func check(tables []Table, baseline, measured []BenchEntry) (string, error) {
 	// leg is not a pass.
 	report.WriteString("Relations:\n")
 	for _, r := range rels {
-		l, okL := got[r.Left]
-		rv, okR := got[r.Right]
+		le, okL := got[r.Left]
+		re, okR := got[r.Right]
+		l, rv := le.NsPerOp, re.NsPerOp
 		switch {
 		case !okL && !okR:
 			continue
@@ -99,18 +104,21 @@ func check(tables []Table, baseline, measured []BenchEntry) (string, error) {
 				missing = r.Right
 			}
 			failures = append(failures, fmt.Sprintf("%s vs %s: %s not measured", r.Left, r.Right, missing))
+		case unit(le) != unit(re):
+			failures = append(failures, fmt.Sprintf("%s vs %s: rows in %s and %s", r.Left, r.Right, unit(le), unit(re)))
 		case rv <= 0:
-			failures = append(failures, fmt.Sprintf("%s vs %s: degenerate measurement %dns", r.Left, r.Right, rv))
+			failures = append(failures, fmt.Sprintf("%s vs %s: degenerate measurement %d%s", r.Left, r.Right, rv, unit(re)))
 		default:
+			u := unit(le)
 			ratio := float64(l) / float64(rv)
 			status := "ok"
 			if ratio > r.Factor {
 				status = "VIOLATED"
-				failures = append(failures, fmt.Sprintf("%s: %dns > %.2f x %s (%dns) — %s",
-					r.Left, l, r.Factor, r.Right, rv, r.Why))
+				failures = append(failures, fmt.Sprintf("%s: %d%s > %.2f x %s (%d%s) — %s",
+					r.Left, l, u, r.Factor, r.Right, rv, u, r.Why))
 			}
-			fmt.Fprintf(&report, "  %-24s %10dns <= %.2f x %-24s %10dns  (x%.2f)  %s\n",
-				r.Left, l, r.Factor, r.Right, rv, ratio, status)
+			fmt.Fprintf(&report, "  %-24s %10d%-2s <= %.2f x %-24s %10d%-2s  (x%.2f)  %s\n",
+				r.Left, l, u, r.Factor, r.Right, rv, u, ratio, status)
 		}
 	}
 
@@ -120,11 +128,19 @@ func check(tables []Table, baseline, measured []BenchEntry) (string, error) {
 	return report.String(), nil
 }
 
+// unit returns a measured row's unit: a row that names none is in ns.
+func unit(e BenchEntry) string {
+	if e.Unit == "" {
+		return "ns"
+	}
+	return e.Unit
+}
+
 // byKey indexes entries by their "table:row" key.
-func byKey(es []BenchEntry) map[string]int64 {
-	m := make(map[string]int64, len(es))
+func byKey(es []BenchEntry) map[string]BenchEntry {
+	m := make(map[string]BenchEntry, len(es))
 	for _, e := range es {
-		m[e.Table+":"+e.Row] = e.NsPerOp
+		m[e.Table+":"+e.Row] = e
 	}
 	return m
 }

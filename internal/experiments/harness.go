@@ -104,11 +104,11 @@ func bootClose(n int) (time.Duration, error) {
 
 // printRows writes a name/value table, one line per row. suffix gives
 // the text printed after a row's value, its unit and any remark; nil
-// prints every value in nanoseconds.
+// prints each row's unit.
 func printRows(w io.Writer, title string, es []BenchEntry, suffix func(BenchEntry) string) {
 	fmt.Fprintln(w, title)
 	for _, e := range es {
-		s := "ns"
+		s := e.Unit
 		if suffix != nil {
 			s = suffix(e)
 		}

@@ -66,16 +66,18 @@ func Select(names []string) ([]Table, error) {
 }
 
 // BenchEntry is one measured row of a table, exported by the bench JSON
-// mode so successive runs can be diffed mechanically. NsPerOp is in
-// nanoseconds except where a table documents another unit (the worldd
-// table's idle-mem/world row is in bytes).
+// mode so successive runs can be diffed mechanically. NsPerOp holds the
+// row's value in Unit: "ns" for every row entry makes, "B" for the worldd
+// table's idle-mem/world row. Bench files written before rows carried a
+// unit read back with Unit empty.
 type BenchEntry struct {
 	Table   string `json:"table"`
 	Row     string `json:"row"`
 	NsPerOp int64  `json:"ns_per_op"`
+	Unit    string `json:"unit"`
 }
 
 // entry makes a row holding a duration.
 func entry(row string, d time.Duration) BenchEntry {
-	return BenchEntry{Row: row, NsPerOp: d.Nanoseconds()}
+	return BenchEntry{Row: row, NsPerOp: d.Nanoseconds(), Unit: "ns"}
 }

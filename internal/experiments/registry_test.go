@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -35,6 +36,7 @@ var (
 		{"crash:restore", "crash:boot", 1.0},
 		{"pool:acquire-hit", "pool:boot", 0.4},
 		{"pool:fork/large", "pool:fork", 2.0},
+		{"pool:fork/wide", "pool:fork", 2.0},
 		{"resil:recover/pool", "resil:boot", 1.0},
 		{"resil:session/admit", "resil:session", 1.15},
 	}
@@ -194,5 +196,43 @@ func TestCheckReportsGuardsAndRelations(t *testing.T) {
 	passing := []BenchEntry{row("hot", 120), row("steady", 90), row("fast", 40), row("slow", 100)}
 	if report, err := check(tables, baseline, passing); err != nil {
 		t.Fatalf("passing run failed: %v\n%s", err, report)
+	}
+}
+
+// TestCheckUnits: rows carry their unit into the bench JSON; a baseline
+// written before rows had units still gates, and a guard whose baseline
+// names a different unit fails.
+func TestCheckUnits(t *testing.T) {
+	tables := []Table{{Name: "w", Guards: []string{"mem", "time"}}}
+	measured := []BenchEntry{
+		{Table: "w", Row: "mem", NsPerOp: 900, Unit: "B"},
+		{Table: "w", Row: "time", NsPerOp: 100, Unit: "ns"},
+	}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := WriteBenchJSON(path, measured); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil || !strings.Contains(string(data), `"unit": "B"`) {
+		t.Fatalf("bench JSON lacks the unit: %s %v", data, err)
+	}
+
+	legacy := filepath.Join(t.TempDir(), "legacy.json")
+	os.WriteFile(legacy, []byte(`[{"table":"w","row":"mem","ns_per_op":1000},{"table":"w","row":"time","ns_per_op":100}]`), 0o644)
+	baseline, err := ReadBenchJSON(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := check(tables, baseline, measured)
+	if err != nil {
+		t.Fatalf("unitless baseline failed the gate: %v\n%s", err, report)
+	}
+	if !strings.Contains(report, "900B") {
+		t.Errorf("report does not print the row's unit:\n%s", report)
+	}
+
+	baseline[0].Unit = "ns"
+	if _, err := check(tables, baseline, measured); err == nil || !strings.Contains(err.Error(), "measured in B, baseline in ns") {
+		t.Fatalf("unit mismatch passed: %v", err)
 	}
 }

@@ -180,8 +180,8 @@ func runResil(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 	es := []BenchEntry{
 		entry("probe", probe),
 		entry("boot", boot),
-		{Row: "recover/pool", NsPerOp: recoverPool},
-		{Row: "recover/journal", NsPerOp: recoverJournal},
+		entry("recover/pool", time.Duration(recoverPool)),
+		entry("recover/journal", time.Duration(recoverJournal)),
 		entry("session", session),
 		entry("session/admit", sessionAdmit),
 	}

@@ -146,7 +146,7 @@ func runWorldd(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 	es := []BenchEntry{
 		entry("boot", boot),
 		entry("session", session),
-		{Row: "idle-mem/world", NsPerOp: perWorld},
+		{Row: "idle-mem/world", NsPerOp: perWorld, Unit: "B"},
 	}
 	printRows(w, fmt.Sprintf("Multi-tenant worlds (lifecycle layer + worldd, %d-world idle fleet):", worlddFleet),
 		es, func(e BenchEntry) string {
@@ -156,7 +156,7 @@ func runWorldd(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 			case "idle-mem/world":
 				return fmt.Sprintf("B    (%.1f MB for the fleet)", float64(e.NsPerOp)*worlddFleet/1e6)
 			}
-			return "ns"
+			return e.Unit
 		})
 	return es, nil
 }

@@ -4,18 +4,18 @@ import (
 	"interpose/internal/vfs"
 )
 
-// Fork clones a quiesced world's kernel copy-on-write: a fresh kernel
-// shell (empty process table, own console, own driver instances) around
-// a vfs.FS.Fork of the parent's filesystem. File data blocks are shared
-// with the parent behind refcounts until first write, so the cost is
-// O(#inodes), not O(bytes) — the basis of warm-world pooling
-// (internal/world/pool.go).
+// Fork clones a quiesced world's kernel: a fresh kernel shell (empty
+// process table, own console, own driver instances) around a
+// vfs.FS.Fork of the parent's filesystem. That fork freezes the parent's
+// tree as an immutable image once and gives the child an empty overlay
+// on it, so its cost does not grow with the tree: the child clones an
+// inode only when one of its processes reaches it (vfs/fork.go).
 //
-// Device inodes in the cloned tree are re-resolved by rdev against the
-// child's own driver table, exactly as Restore does: a clone that kept
-// the parent's ttyDev would write its console output into the parent
-// world. The parent must be quiesced (no running processes, journal
-// committed); Fork takes only the filesystem's per-inode read locks.
+// Device inodes in the image are bound by rdev to the child's own driver
+// table, exactly as Restore does: a clone that kept the parent's ttyDev
+// would write its console output into the parent world. The parent must
+// be quiesced (no running processes, journal committed); it keeps running
+// afterwards on its own overlay of the same image.
 func Fork(parent *Kernel) (*Kernel, error) {
 	k := newKernel(parent.images)
 	parent.pmu.Lock()

@@ -143,9 +143,8 @@ type Proc struct {
 	// every upcall, downcall and kernel leg of a call runs on the goroutine
 	// that made it. Fork copies trace identity into the child on the
 	// parent's goroutine before publishProc makes the child visible, and
-	// finishExit reads curSpan and traceID on the exiting goroutine (or,
-	// for a host-driven process that was never started, on the one host
-	// goroutine that drove it).
+	// the exiting goroutine hands curSpan and traceID to finishExit (a
+	// host-side finisher passes zeros instead).
 	trcRand    uint64 // xorshift head-sampling state, seeded lazily from the pid
 	traceID    uint64 // trace this process belongs to (0 until first sampled span; fork-inherited)
 	causeSpan  uint64 // causal parent for the next root span (fork/exec/signal edge); consumed on use
@@ -689,7 +688,9 @@ func (p *Proc) invokeLayer(pl *dispatchPlan, i, num int, a sys.Args) (sys.Retval
 // (the toolkit's exec emulation reads the image and closes descriptors
 // before the final unwinding execve) already reference it as their
 // parent and must not dangle, and the kernel leg shows where the call
-// went.
+// went. An exit span is recorded at entry instead: the kernel leg makes
+// the process reapable before it unwinds, and a reaper that reads the
+// ring must find every span of the process already there.
 func (p *Proc) callTraced(r *telemetry.Registry, pl *dispatchPlan, i, num int, a sys.Args) (sys.Retval, sys.Errno) {
 	var name string // the kernel's attribution slot is pre-named
 	if i >= 0 {
@@ -715,15 +716,22 @@ func (p *Proc) callTraced(r *telemetry.Registry, pl *dispatchPlan, i, num int, a
 	saved := p.telChild
 	p.telChild = 0
 	start := time.Now()
+	exit := num == sys.SYS_exit
 	if t != nil {
-		defer func() {
-			if rec := recover(); rec != nil {
-				span.Start = t.At(start)
-				span.Dur = -1
-				t.Record(span)
-				panic(rec)
-			}
-		}()
+		if exit {
+			span.Start = t.At(start)
+			span.Dur = -1
+			t.Record(span)
+		} else {
+			defer func() {
+				if rec := recover(); rec != nil {
+					span.Start = t.At(start)
+					span.Dur = -1
+					t.Record(span)
+					panic(rec)
+				}
+			}()
+		}
 	}
 	var rv sys.Retval
 	var err sys.Errno
@@ -739,10 +747,12 @@ func (p *Proc) callTraced(r *telemetry.Registry, pl *dispatchPlan, i, num int, a
 	p.telChild = saved + int64(elapsed)
 	if t != nil {
 		p.spanParent = savedParent
-		span.Start = t.At(start)
-		span.Dur = int64(elapsed)
-		span.Err = int32(err)
-		t.Record(span)
+		if !exit {
+			span.Start = t.At(start)
+			span.Dur = int64(elapsed)
+			span.Err = int32(err)
+			t.Record(span)
+		}
 	}
 	return rv, err
 }
@@ -772,7 +782,7 @@ func (p *Proc) Exec(e image.Entry) {
 
 // ExitNow terminates the process from kernel context. It does not return.
 func (p *Proc) exitNow(status sys.Word) {
-	p.k.finishExit(p, status)
+	p.k.finishExit(p, status, p.traceID, p.curSpan)
 	panic(exitUnwind{status: status})
 }
 
@@ -861,7 +871,7 @@ func (p *Proc) runOnce(entry image.Entry) (next image.Entry, status sys.Word) {
 			// A bug in a program or agent: report and kill the process the
 			// way a machine exception would.
 			p.k.console.write([]byte(fmt.Sprintf("panic in pid %d (%s): %v\n", p.pid, p.comm, r)))
-			p.k.finishExit(p, sys.WStatusSignal(sys.SIGSEGV))
+			p.k.finishExit(p, sys.WStatusSignal(sys.SIGSEGV), p.traceID, p.curSpan)
 			next, status = nil, sys.WStatusSignal(sys.SIGSEGV)
 		}
 	}()

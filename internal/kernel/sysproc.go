@@ -24,7 +24,11 @@ func (k *Kernel) sysExit(p *Proc, a sys.Args) {
 // synchronizes on exitDone, which only the winner closes). It runs in
 // three phases so descriptor teardown — which takes per-object pipe and
 // flock locks and wakes peers — happens outside the process-table lock.
-func (k *Kernel) finishExit(p *Proc, status sys.Word) {
+// traceID and span are the process's trace and the root span of its exit
+// call, for the wait causal edge: its own goroutine passes its span
+// scratch, and a host-side caller, whose process never ran, passes zeros
+// rather than read fields a racing Start's goroutine may be writing.
+func (k *Kernel) finishExit(p *Proc, status sys.Word, traceID, span uint64) {
 	if !p.finished.CompareAndSwap(false, true) {
 		return
 	}
@@ -83,7 +87,7 @@ func (k *Kernel) finishExit(p *Proc, status sys.Word) {
 	// the zombie transition makes the process reapable. Holding k.pmu
 	// here is what makes the copy visible to the reaping parent, which
 	// reads exitSpan under k.pmu.
-	p.exitSpan = p.curSpan
+	p.exitSpan = span
 	p.exitStatus = status
 	p.setStateLocked(procZombie)
 	p.sigMu.Lock()
@@ -94,7 +98,7 @@ func (k *Kernel) finishExit(p *Proc, status sys.Word) {
 		init.childQ.wakeAll()
 	}
 	if parent, ok := k.procs[p.ppid]; ok && p.ppid != 0 {
-		noteSigCause(parent, p.traceID, p.curSpan)
+		noteSigCause(parent, traceID, span)
 		k.postSignalPLocked(parent, sys.SIGCHLD)
 		parent.childQ.wakeAll()
 	}
@@ -497,7 +501,7 @@ func (k *Kernel) WaitExit(p *Proc) sys.Word {
 // address space in the table until Shutdown — unbounded growth in a
 // long-lived multi-tenant kernel.
 func (k *Kernel) Discard(p *Proc) {
-	k.finishExit(p, sys.WStatusSignal(sys.SIGKILL))
+	k.finishExit(p, sys.WStatusSignal(sys.SIGKILL), 0, 0)
 	k.WaitExit(p)
 }
 
@@ -534,7 +538,7 @@ func (k *Kernel) Shutdown() {
 			// A Start racing this check is benign: finishExit's CAS
 			// elects one finisher, and the late goroutine's own exit
 			// becomes the no-op side.
-			k.finishExit(victim, sys.WStatusSignal(sys.SIGKILL))
+			k.finishExit(victim, sys.WStatusSignal(sys.SIGKILL), 0, 0)
 		}
 		k.WaitExit(victim)
 	}

@@ -161,15 +161,17 @@ func TestTraceCausalEdges(t *testing.T) {
 func TestTraceExecEdge(t *testing.T) {
 	tr := trace.NewTracer(trace.Config{Sample: 1})
 	st, out := runFnSetup(t, func(k *kernel.Kernel) { k.SetSpanTracer(tr) }, func(lt *libc.T) int {
+		if len(lt.Args) > 1 && lt.Args[1] == "execd" {
+			// The fresh image: exit before forking, or every image would
+			// fork the next and the chain would outlive the test.
+			return 0
+		}
 		pid, errno := lt.Fork(func(ct *libc.T) {
 			ct.Exec("/bin/main", []string{"main", "execd"}, nil)
 			ct.Exit(3) // only reached if exec failed
 		})
 		if errno != sys.OK {
 			return 1
-		}
-		if len(lt.Args) > 1 && lt.Args[1] == "execd" {
-			return 0 // the fresh image
 		}
 		_, wst, _ := lt.Waitpid(pid)
 		if sys.WExitStatus(wst) != 0 {

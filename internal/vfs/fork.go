@@ -2,174 +2,262 @@ package vfs
 
 import (
 	"fmt"
-	"sync/atomic"
+	"maps"
+	"slices"
 	"time"
 
 	"interpose/internal/sys"
 )
 
-// Copy-on-write forking: Fork clones a filesystem in O(#inodes) pointer
-// work, not O(bytes). Regular-file data arrays are not copied — parent
-// and child share each array behind a reference count (Inode.dataRefs)
-// and whichever side mutates a file first copies just that inode's bytes
-// out (Inode.unshareData). This generalizes the atomic-pointer COW
-// discipline of the dentry/attribute caches (cache.go): immutable value
-// published behind an atomic pointer, replaced wholesale on write.
+// Copy-on-reach forking. Fork freezes the parent's tree as an immutable
+// image and hands the child an empty overlay on it, so a fork costs the
+// same at 64 inodes as at 8,192. The child clones an inode the first time
+// a path walk, rename, link or journal replay reaches it; an inode it
+// never reaches is never copied. This is the paper's union directory
+// built kernel-side — a private writable layer over a shared read-only
+// one — and its pay-per-use rule: a world pays for what it touches.
 //
-// What is shared and what is copied:
+// Freezing is O(1). Every inode carries the layer of its filesystem it
+// was made at; a freeze bumps the filesystem's layer, and an inode whose
+// layer lags its filesystem's is part of an image. A filesystem that has
+// not changed since its last freeze forks its current image again, so a
+// template forked many times freezes once. A parent that keeps running
+// continues on an overlay of its own image, exactly as a child does.
 //
-//   - file data arrays: shared behind dataRefs until either side's first
-//     in-place write or growing write/truncate (shrink is a reslice and
-//     keeps sharing — the underlying bytes never change);
-//   - attribute snapshots (attrs): the *attrSnap pointer is shared; it is
-//     an immutable value that chmod/chown replace wholesale, so sharing
-//     is free and always safe;
-//   - inode structs, directory entry tables, order slices: copied (they
-//     are mutable under each side's own locks);
-//   - dentry snapshots (dmap) and the pathname cache: NOT shared — they
-//     map names to the parent's *Inode pointers, which would resolve into
-//     the wrong world. The child starts cold and refills lazily;
-//   - stat snapshots (statc): dropped; recomputed on first stat.
+// What a clone copies and what it shares:
 //
-// Lock ordering: Fork takes each inode's read lock one at a time, never
-// two at once, so it composes with every mutation path (which hold at
-// most parent dir + one child, exclusively). A writer cannot observe or
-// break a share mid-install because installing the refcount happens
-// under the inode's read lock while all data mutations hold the write
-// lock. Consistency ACROSS inodes is the caller's responsibility, as
-// with WriteSnapshot: fork a quiesced world.
+//   - the inode struct, a directory's entry table and order: copied (the
+//     per-inode clone below, run on first reach);
+//   - file data: shared. An image's arrays never change, so the clone is
+//     marked cow and copies its bytes before its first write;
+//   - the attribute snapshot (attrs): shared; it is immutable;
+//   - the dentry snapshot (dmap) and stat snapshot (statc): not shared.
+//     A clone starts cold, so no cache can resolve into another world.
 //
-// Journaling: the child carries the parent's applied-sequence watermark
-// (jnlSeq) but no journal writer. The caller seals the parent's journal
-// epoch (commit) before forking; replaying the parent's journal onto the
-// child then applies zero records — everything is at or below the
-// watermark. Replay paths unshare before mutating (replay.go), so even a
-// divergent replay cannot scribble on a shared array.
+// An overlay's directory entries may still point at image inodes: a
+// directory clone copies its entries as they are. Every read of an entry
+// goes through reach, which maps an image inode to the overlay's clone of
+// that number (cloning it on first reach), so the kernel only ever holds
+// inodes of its own filesystem and a hard link is cloned once per ino. A
+// directory clone reaches its parent at once, so ".." and every ancestry
+// walk stay inside the overlay.
+//
+// An image frozen from an overlay can hold stale pointers: a directory
+// the overlay never reached still names the older version of a file the
+// overlay changed. The image therefore keeps the overlay's clones by
+// number (image.newer) and reach and peek read an image inode through it.
+//
+// StateHash, Check and WriteSnapshot read through an overlay (peek) and
+// clone nothing. Any mutator that reaches an image inode panics
+// (writable): a frozen image is shared by every overlay on it.
+//
+// Journaling: an image carries the applied-sequence watermark (jnlSeq) and
+// a fork carries it on, with no journal writer. The caller seals the
+// parent's journal epoch before forking, so replaying the parent's
+// journal onto the child applies zero records.
 
-// Fork clones the filesystem copy-on-write. clock supplies the child's
-// timestamps (the parent's clock when nil); resolve maps a device
-// inode's rdev to the child world's driver vector — device inodes must
-// not keep the parent's drivers, or guest I/O would cross worlds — and
-// may be nil only when the tree holds no device nodes. The parent must
-// be quiesced (no running mutators) for cross-inode consistency.
+// image is a frozen filesystem tree. Nothing in it changes after freeze.
+type image struct {
+	root *Inode
+	// newer maps an inode number to its version in this image wherever an
+	// image directory may point at an older one: the clones of the
+	// overlays this image was frozen from. Nil unless fs was an overlay.
+	newer   map[uint32]*Inode
+	devs    []uint32 // rdevs of the image's device nodes; a fork binds each
+	nextIno uint32
+	ninodes int64
+	jnlSeq  uint64
+}
+
+// version returns the image's version of ip, any image inode of its tree.
+func (img *image) version(ip *Inode) *Inode {
+	if v := img.newer[ip.Ino]; v != nil {
+		return v
+	}
+	return ip
+}
+
+// binding is one device driver of a filesystem, by rdev.
+type binding struct {
+	rdev uint32
+	dev  Device
+}
+
+// Fork freezes the filesystem and returns a copy-on-reach overlay on its
+// image. clock supplies the child's timestamps (the parent's clock when
+// nil); resolve maps a device inode's rdev to the child world's driver
+// vector — device inodes must not keep the parent's drivers, or guest
+// I/O would cross worlds — and may be nil only when the tree holds no
+// device nodes. Fork fails if any device node of the image has no driver.
+// The parent must be quiesced (no running mutators) while it forks, and
+// an inode pointer the parent held before the fork is frozen afterwards:
+// the parent continues on its own overlay, reached from Root.
 func (fs *FS) Fork(clock func() time.Time, resolve func(rdev uint32) (Device, bool)) (*FS, error) {
+	img := fs.freeze()
 	if clock == nil {
 		clock = fs.clock
 	}
-	child := &FS{dev: fs.dev, clock: clock}
-
-	// Pass one: clone every reachable inode (hard links visit once).
-	// forkDir remembers each directory's listing so pass two can wire
-	// entries and parents to the clones.
-	type forkDir struct {
-		clone  *Inode
-		parent *Inode // original
-		names  []string
-		kids   []*Inode // originals
+	child := &FS{dev: fs.dev, clock: clock, img: img, clones: map[uint32]*Inode{}}
+	for _, rdev := range img.devs {
+		var dev Device
+		if resolve != nil {
+			dev, _ = resolve(rdev)
+		}
+		if dev == nil {
+			return nil, fmt.Errorf("vfs: fork: device %d:%d has no driver in the child", rdev>>8, rdev&0xff)
+		}
+		child.drivers = append(child.drivers, binding{rdev, dev})
 	}
-	clones := map[*Inode]*Inode{}
-	var dirs []forkDir
-	var walkErr error
-	fs.walkTree(func(path string, ip *Inode) {
-		if walkErr != nil {
+	child.nextIno.Store(img.nextIno)
+	child.ninodes.Store(img.ninodes)
+	child.jnlSeq.Store(img.jnlSeq)
+	child.root.Store(child.reachLocked(img.root)) // child is not yet shared
+	return child, nil
+}
+
+// freeze returns the image of the filesystem's current tree: the image
+// it is an overlay on when nothing changed since, or a new one made by
+// moving fs to a fresh layer over its current tree.
+func (fs *FS) freeze() *image {
+	fs.ovMu.Lock()
+	defer fs.ovMu.Unlock()
+	if fs.img != nil && !fs.changed.Load() {
+		return fs.img
+	}
+	img := &image{
+		root:    fs.Root(),
+		nextIno: fs.nextIno.Load(),
+		ninodes: fs.ninodes.Load(),
+		jnlSeq:  fs.jnlSeq.Load(),
+	}
+	for _, b := range fs.drivers {
+		img.devs = append(img.devs, b.rdev)
+	}
+	if fs.img != nil {
+		img.newer = make(map[uint32]*Inode, len(fs.img.newer)+len(fs.clones))
+		maps.Copy(img.newer, fs.img.newer)
+		maps.Copy(img.newer, fs.clones)
+	}
+	fs.layer.Add(1)
+	fs.img = img
+	fs.clones = map[uint32]*Inode{}
+	fs.changed.Store(false)
+	fs.root.Store(fs.reachLocked(img.root))
+	return img
+}
+
+// owns reports whether ip is one of fs's own, mutable inodes.
+func (fs *FS) owns(ip *Inode) bool {
+	return ip.fs == fs && ip.layer == fs.layer.Load()
+}
+
+// writable is called by every mutator on each inode it is about to
+// change: it panics on an image inode, which every overlay on the image
+// shares, and records that fs changed since its last freeze.
+func (ip *Inode) writable() {
+	fs := ip.fs
+	if !fs.owns(ip) {
+		panic(fmt.Sprintf("vfs: mutation of image inode %d", ip.Ino))
+	}
+	if !fs.changed.Load() {
+		fs.changed.Store(true)
+	}
+}
+
+// reach returns fs's own inode for ip, which a directory entry may still
+// give as an image inode: the clone of ip's number, made on first reach.
+func (fs *FS) reach(ip *Inode) *Inode {
+	if ip == nil || fs.owns(ip) {
+		return ip
+	}
+	fs.ovMu.Lock()
+	defer fs.ovMu.Unlock()
+	return fs.reachLocked(ip)
+}
+
+// reachLocked is reach with ovMu held.
+func (fs *FS) reachLocked(ip *Inode) *Inode {
+	if c := fs.clones[ip.Ino]; c != nil {
+		return c
+	}
+	src := fs.img.version(ip)
+	c := fs.clone(src)
+	fs.clones[ip.Ino] = c // before the parent: the root is its own parent
+	if pp := src.parentPtr(); pp != nil && c.IsDir() {
+		c.setParent(fs.reachLocked(pp))
+	}
+	return c
+}
+
+// peek returns the version of ip an overlay walk sees — fs's clone if it
+// reached ip's number, the image's version otherwise — without cloning.
+func (fs *FS) peek(ip *Inode) *Inode {
+	if ip == nil || fs.owns(ip) {
+		return ip
+	}
+	fs.ovMu.Lock()
+	defer fs.ovMu.Unlock()
+	if c := fs.clones[ip.Ino]; c != nil {
+		return c
+	}
+	return fs.img.version(ip)
+}
+
+// clone copies the image inode src into fs, at fs's current layer. A
+// device inode binds to fs's driver for its rdev.
+func (fs *FS) clone(src *Inode) *Inode {
+	src.mu.RLock()
+	c := &Inode{
+		fs:    fs,
+		layer: fs.layer.Load(),
+		Ino:   src.Ino,
+		typ:   src.typ,
+		Mode:  src.Mode,
+		Nlink: src.Nlink,
+		UID:   src.UID,
+		GID:   src.GID,
+		Rdev:  src.Rdev,
+		Atime: src.Atime,
+		Mtime: src.Mtime,
+		Ctime: src.Ctime,
+		link:  src.link,
+	}
+	switch src.typ {
+	case sys.S_IFREG:
+		c.data, c.cow = src.data, true
+	case sys.S_IFDIR:
+		c.entries = maps.Clone(src.entries)
+		c.order = slices.Clone(src.order)
+	case sys.S_IFCHR:
+		c.dev = src.dev
+		if src.fs != fs {
+			c.dev = fs.driver(src.Rdev)
+		}
+	}
+	c.attrs.Store(src.attrs.Load())
+	src.mu.RUnlock()
+	return c
+}
+
+// bind records dev as the filesystem's driver for rdev.
+func (fs *FS) bind(rdev uint32, dev Device) {
+	fs.ovMu.Lock()
+	defer fs.ovMu.Unlock()
+	for i, b := range fs.drivers {
+		if b.rdev == rdev {
+			fs.drivers[i].dev = dev
 			return
 		}
-		ip.mu.RLock()
-		c := &Inode{
-			fs:    child,
-			Ino:   ip.Ino,
-			typ:   ip.typ,
-			Mode:  ip.Mode,
-			Nlink: ip.Nlink,
-			UID:   ip.UID,
-			GID:   ip.GID,
-			Rdev:  ip.Rdev,
-			Atime: ip.Atime,
-			Mtime: ip.Mtime,
-			Ctime: ip.Ctime,
-			link:  ip.link,
-		}
-		switch ip.typ {
-		case sys.S_IFREG:
-			// An empty file shares nothing: handing the child a
-			// zero-length slice of ip's array would give both sides its
-			// spare capacity with no dataRefs to stop growLocked
-			// extending into it in place.
-			if len(ip.data) > 0 {
-				c.data = ip.data
-				refs := ip.dataRefs.Load()
-				if refs == nil {
-					nr := &atomic.Int64{}
-					nr.Store(1)
-					// CAS arbitrates concurrent forks; a mutator cannot
-					// intervene (it needs the write lock we read-hold).
-					if !ip.dataRefs.CompareAndSwap(nil, nr) {
-						refs = ip.dataRefs.Load()
-					} else {
-						refs = nr
-					}
-				}
-				refs.Add(1)
-				c.dataRefs.Store(refs)
-			}
-		case sys.S_IFDIR:
-			c.entries = make(map[string]*Inode, len(ip.entries))
-			pp := ip.parentPtr()
-			if pp == nil {
-				pp = ip
-			}
-			dirs = append(dirs, forkDir{
-				clone:  c,
-				parent: pp,
-				names:  append([]string(nil), ip.order...),
-				kids: func() []*Inode {
-					ks := make([]*Inode, len(ip.order))
-					for i, n := range ip.order {
-						ks[i] = ip.entries[n]
-					}
-					return ks
-				}(),
-			})
-		case sys.S_IFCHR:
-			if resolve != nil {
-				if dev, ok := resolve(ip.Rdev); ok {
-					c.dev = dev
-				}
-			}
-			if c.dev == nil {
-				walkErr = fmt.Errorf("vfs: fork: device %d:%d (%s) has no driver in the child",
-					ip.Rdev>>8, ip.Rdev&0xff, path)
-			}
-		}
-		// Share the immutable attribute snapshot; chmod/chown republish a
-		// fresh one, never mutate it in place.
-		c.attrs.Store(ip.attrs.Load())
-		ip.mu.RUnlock()
-		if c.attrs.Load() == nil {
-			c.publishAttrs()
-		}
-		clones[ip] = c
-	})
-	if walkErr != nil {
-		return nil, walkErr
 	}
+	fs.drivers = append(fs.drivers, binding{rdev, dev})
+}
 
-	// Pass two: wire directory entries and parent pointers to the clones.
-	for _, d := range dirs {
-		for i, name := range d.names {
-			kid := clones[d.kids[i]]
-			if kid == nil {
-				continue // raced with a concurrent remove; quiesced callers never see this
-			}
-			d.clone.entries[name] = kid
-			d.clone.order = append(d.clone.order, name)
+// driver returns the filesystem's driver for rdev. Caller holds ovMu.
+func (fs *FS) driver(rdev uint32) Device {
+	for _, b := range fs.drivers {
+		if b.rdev == rdev {
+			return b.dev
 		}
-		d.clone.setParent(clones[d.parent])
 	}
-
-	child.root = clones[fs.root]
-	child.nextIno.Store(fs.nextIno.Load())
-	child.ninodes.Store(int64(len(clones)))
-	child.jnlSeq.Store(fs.jnlSeq.Load())
-	return child, nil
+	return nil
 }

@@ -56,12 +56,13 @@ func mustClean(t *testing.T, label string, fs *FS) {
 	}
 }
 
-// TestForkSharesUntilWrite pins the COW contract: after a fork the file
-// data array is shared (same backing array, refcount 2); the first
-// write on either side copies out just that side; the survivor reclaims
-// exclusive ownership and writes in place again.
+// TestForkSharesUntilWrite pins the data contract: after a fork the
+// child's clone and the parent's own clone of a file share the image's
+// data array; the first write on either side copies out just that side,
+// and the image's bytes never move.
 func TestForkSharesUntilWrite(t *testing.T) {
 	fs := buildForkFS(t)
+	img := mustLookup(t, fs, "/data/f00") // becomes an image inode
 	child, err := fs.Fork(nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,49 +70,50 @@ func TestForkSharesUntilWrite(t *testing.T) {
 
 	pf := mustLookup(t, fs, "/data/f00")
 	cf := mustLookup(t, child, "/data/f00")
-	if &pf.data[0] != &cf.data[0] {
-		t.Fatal("fork did not share the data array")
+	if pf == img || cf == img || pf == cf {
+		t.Fatal("a lookup after the fork returned an image inode")
 	}
-	refs := pf.dataRefs.Load()
-	if refs == nil || refs != cf.dataRefs.Load() {
-		t.Fatal("parent and child do not share one refcount")
+	if &pf.data[0] != &img.data[0] || &cf.data[0] != &img.data[0] {
+		t.Fatal("fork did not share the image's data array")
 	}
-	if n := refs.Load(); n != 2 {
-		t.Fatalf("shared refcount = %d, want 2", n)
+	if !pf.cow || !cf.cow {
+		t.Fatal("clones not marked copy-on-write")
 	}
 
-	// Child's first write copies out: arrays diverge, child drops its
-	// reference, parent becomes the sole holder.
+	// The child's first write copies out; the parent still shares.
 	if _, werr := cf.WriteAt([]byte("child"), 0, 0); werr != sys.OK {
 		t.Fatal(werr)
 	}
-	if &pf.data[0] == &cf.data[0] {
-		t.Fatal("child write did not copy out of the shared array")
+	if &cf.data[0] == &img.data[0] || cf.cow {
+		t.Fatal("child write did not copy out of the image's array")
 	}
-	if cf.dataRefs.Load() != nil {
-		t.Fatal("child still marked shared after copy-out")
-	}
-	if n := refs.Load(); n != 1 {
-		t.Fatalf("refcount after child copy-out = %d, want 1", n)
+	if &pf.data[0] != &img.data[0] {
+		t.Fatal("child write unshared the parent")
 	}
 
-	// Parent's next write reclaims the array (sole holder): no copy.
-	before := &pf.data[0]
+	// The parent's first write copies out too; its next writes in place.
 	if _, werr := pf.WriteAt([]byte("parent"), 0, 0); werr != sys.OK {
 		t.Fatal(werr)
 	}
-	if &pf.data[0] != before {
-		t.Fatal("sole holder copied instead of reclaiming")
+	if &pf.data[0] == &img.data[0] || pf.cow {
+		t.Fatal("parent write did not copy out of the image's array")
 	}
-	if pf.dataRefs.Load() != nil {
-		t.Fatal("parent still marked shared after reclaim")
+	before := &pf.data[0]
+	if _, werr := pf.WriteAt([]byte("again!"), 0, 0); werr != sys.OK {
+		t.Fatal(werr)
+	}
+	if &pf.data[0] != before {
+		t.Fatal("owned array copied again")
 	}
 
-	if got := pf.Bytes()[:6]; !bytes.Equal(got, []byte("parent")) {
+	if got := pf.Bytes()[:6]; !bytes.Equal(got, []byte("again!")) {
 		t.Fatalf("parent bytes = %q", got)
 	}
 	if got := cf.Bytes()[:5]; !bytes.Equal(got, []byte("child")) {
 		t.Fatalf("child bytes = %q", got)
+	}
+	if !bytes.Equal(img.data, pattern(0, 512)) {
+		t.Fatal("image bytes changed")
 	}
 }
 
@@ -120,36 +122,30 @@ func TestForkSharesUntilWrite(t *testing.T) {
 // growing truncate reallocates and drops the share.
 func TestForkTruncate(t *testing.T) {
 	fs := buildForkFS(t)
+	img := mustLookup(t, fs, "/data/f00")
 	child, err := fs.Fork(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pf := mustLookup(t, fs, "/data/f00")
 	cf := mustLookup(t, child, "/data/f00")
-	refs := pf.dataRefs.Load()
 
 	if serr := cf.Truncate(64); serr != sys.OK {
 		t.Fatal(serr)
 	}
-	if &pf.data[0] != &cf.data[0] {
+	if &img.data[0] != &cf.data[0] || !cf.cow {
 		t.Fatal("shrink truncate broke the share")
-	}
-	if n := refs.Load(); n != 2 {
-		t.Fatalf("refcount after shrink = %d, want 2", n)
 	}
 
 	if serr := cf.Truncate(1024); serr != sys.OK {
 		t.Fatal(serr)
 	}
-	if &pf.data[0] == &cf.data[0] {
-		t.Fatal("growing truncate kept the shared array")
+	if &img.data[0] == &cf.data[0] || cf.cow {
+		t.Fatal("growing truncate kept the image's array")
 	}
-	if n := refs.Load(); n != 1 {
-		t.Fatalf("refcount after grow = %d, want 1", n)
-	}
-	// Parent bytes must be untouched; child's surviving prefix matches,
-	// and its grown tail is zero.
-	if !bytes.Equal(pf.Bytes(), pattern(0, 512)) {
+	// Parent and image bytes must be untouched; the child's surviving
+	// prefix matches, and its grown tail is zero.
+	if !bytes.Equal(pf.Bytes(), pattern(0, 512)) || !bytes.Equal(img.data, pattern(0, 512)) {
 		t.Fatal("parent bytes changed under child truncate")
 	}
 	cb := cf.Bytes()
@@ -248,47 +244,32 @@ func (*nullDevice) Write(p []byte, off int64) (int, sys.Errno)            { retu
 func (*nullDevice) Ioctl(req sys.Word, arg sys.Word, c sys.Ctx) sys.Errno { return sys.ENOTTY }
 
 // TestForkStorm is the -race storm: many goroutines fork the same
-// parent concurrently, each writes its own byte pattern into every file
-// of its fork, and each then verifies its fork holds exactly its
-// pattern — while a parent-side writer keeps mutating one file the
-// whole time. Byte-level isolation between siblings and the parent must
-// hold, and every world must end fsck-clean.
+// parent at once (the first freezes it, the rest reuse its image), each
+// writes its own byte pattern into every file of its fork and verifies
+// it holds exactly that pattern — while the parent, continuing on its
+// own overlay of the same image, keeps mutating one file the whole time.
+// Byte-level isolation between siblings and the parent must hold, and
+// every world must end fsck-clean.
 func TestForkStorm(t *testing.T) {
 	const forks = 8
 	fs := buildForkFS(t)
 
-	// Parent-side writer: hammers f00 so fork share-installs race with
-	// copy-outs on a live inode.
-	stop := make(chan struct{})
-	var writer sync.WaitGroup
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		pf := mustLookup(t, fs, "/data/f00")
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, werr := pf.WriteAt(pattern(i%250, 512), 0, 0); werr != sys.OK {
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
 	children := make([]*FS, forks)
+	var forked, wg sync.WaitGroup
+	start := make(chan struct{})
 	for g := 0; g < forks; g++ {
+		forked.Add(1)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			child, err := fs.Fork(nil, nil)
+			forked.Done()
 			if err != nil {
 				t.Errorf("fork %d: %v", g, err)
 				return
 			}
 			children[g] = child
+			<-start
 			want := pattern(g+1, 512)
 			for i := 0; i < stormFiles; i++ {
 				f := mustLookup(t, child, fmt.Sprintf("/data/f%02d", i))
@@ -306,6 +287,28 @@ func TestForkStorm(t *testing.T) {
 			}
 		}(g)
 	}
+	forked.Wait()
+
+	// Parent-side writer: hammers f00 on the parent's overlay while the
+	// children reach and copy out of the image it shares with them.
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		pf := mustLookup(t, fs, "/data/f00")
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, werr := pf.WriteAt(pattern(i%250, 512), 0, 0); werr != sys.OK {
+				return
+			}
+		}
+	}()
+	close(start)
 	wg.Wait()
 	close(stop)
 	writer.Wait()
@@ -333,38 +336,54 @@ func TestForkStorm(t *testing.T) {
 	}
 }
 
-// TestForkChainRefcounts: forking a fork extends the same refcount, and
-// each world's copy-out decrements it exactly once.
-func TestForkChainRefcounts(t *testing.T) {
+// TestForkOfFork: a fork of a changed fork freezes the child's overlay
+// as a new image over the first; each generation sees its own writes
+// and none of its descendants', and every world's first write copies
+// out only its own file.
+func TestForkOfFork(t *testing.T) {
 	fs := buildForkFS(t)
 	c1, err := fs.Fork(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f1 := mustLookup(t, c1, "/data/f05")
+	if _, werr := f1.WriteAt([]byte("c1"), 0, 0); werr != sys.OK {
+		t.Fatal(werr)
+	}
 	c2, err := c1.Fork(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pf := mustLookup(t, fs, "/data/f05")
-	refs := pf.dataRefs.Load()
-	if refs == nil {
-		t.Fatal("no shared refcount on parent")
+	if c2.img == fs.img || c2.img != c1.img {
+		t.Fatal("a fork of a changed fork did not freeze a new image")
 	}
-	if n := refs.Load(); n != 3 {
-		t.Fatalf("three-world refcount = %d, want 3", n)
+	if got := mustLookup(t, c2, "/data/f05").Bytes()[:2]; string(got) != "c1" {
+		t.Fatalf("grandchild reads %q, want its parent's write", got)
 	}
-	for i, w := range []*FS{c2, c1} {
-		f := mustLookup(t, w, "/data/f05")
-		if _, werr := f.WriteAt([]byte{1}, 0, 0); werr != sys.OK {
-			t.Fatal(werr)
+	f2 := mustLookup(t, c2, "/data/f05")
+	if _, werr := f2.WriteAt([]byte("c2"), 0, 0); werr != sys.OK {
+		t.Fatal(werr)
+	}
+	for _, w := range []struct {
+		fs   *FS
+		want string
+	}{{fs, string(pattern(0, 2))}, {c1, "c1"}, {c2, "c2"}} {
+		if got := mustLookup(t, w.fs, "/data/f05").Bytes()[:2]; string(got) != w.want {
+			t.Fatalf("world reads %q, want %q", got, w.want)
 		}
-		if n := refs.Load(); n != int64(2-i) {
-			t.Fatalf("refcount after %d copy-outs = %d, want %d", i+1, n, 2-i)
-		}
+		mustClean(t, "fork chain", w.fs)
 	}
-	// Parent is now the sole holder; its bytes never moved.
-	if !bytes.Equal(pf.Bytes(), pattern(0, 512)) {
-		t.Fatal("parent bytes changed under descendant writes")
+	// An unchanged fork forks its own image again.
+	c3, err := c2.Fork(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c4, err := c3.Fork(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c4.img != c3.img {
+		t.Fatal("a fork of an unchanged fork froze a new image")
 	}
 }
 

@@ -25,8 +25,8 @@ const MaxSymlinks = 8
 // in inode-number order when unrelated), which keeps it compatible with
 // the parent-before-child order everyone else uses.
 type FS struct {
-	dev     uint32 // immutable
-	root    *Inode // immutable
+	dev     uint32                // immutable
+	root    atomic.Pointer[Inode] // replaced only when a freeze moves fs to a new layer
 	nextIno atomic.Uint32
 	ninodes atomic.Int64
 	clock   func() time.Time // immutable
@@ -51,6 +51,17 @@ type FS struct {
 	// exactly-once: records at or below it are skipped.
 	jnl    atomic.Pointer[journal.Writer]
 	jnlSeq atomic.Uint64
+
+	// Copy-on-reach overlay state (fork.go). layer is bumped by each
+	// freeze, which turns every inode made at an older layer into part of
+	// an image; changed records a mutation since the last freeze. ovMu
+	// guards img, clones and drivers.
+	layer   atomic.Uint32
+	changed atomic.Bool
+	ovMu    sync.Mutex
+	img     *image            // the image fs is an overlay on; nil until fs forks or is forked
+	clones  map[uint32]*Inode // image inode number → fs's clone of it
+	drivers []binding         // rdev → this filesystem's driver, for device clones
 }
 
 // New creates an empty filesystem whose timestamps come from clock
@@ -61,15 +72,16 @@ func New(clock func() time.Time) *FS {
 	}
 	fs := &FS{dev: 1, clock: clock}
 	fs.nextIno.Store(2)
-	fs.root = fs.newInode(sys.S_IFDIR|0o755, Cred{UID: 0, GID: 0})
-	fs.root.Nlink = 2
-	fs.root.setParent(fs.root)
-	fs.root.publishAttrs()
+	root := fs.newInode(sys.S_IFDIR|0o755, Cred{UID: 0, GID: 0})
+	root.Nlink = 2
+	root.setParent(root)
+	root.publishAttrs()
+	fs.root.Store(root)
 	return fs
 }
 
 // Root returns the root directory inode.
-func (fs *FS) Root() *Inode { return fs.root }
+func (fs *FS) Root() *Inode { return fs.root.Load() }
 
 // NumInodes returns the live inode count (an invariant checked by tests).
 func (fs *FS) NumInodes() int { return int(fs.ninodes.Load()) }
@@ -80,6 +92,7 @@ func (fs *FS) newInode(mode uint32, cred Cred) *Inode {
 	now := fs.now()
 	ip := &Inode{
 		fs:    fs,
+		layer: fs.layer.Load(),
 		Ino:   fs.nextIno.Add(1) - 1,
 		typ:   mode & sys.S_IFMT,
 		Mode:  mode,
@@ -116,7 +129,7 @@ func SplitPath(path string) (parts []string, absolute, wantDir bool) {
 // for relative paths), following symbolic links in intermediate components
 // and, when follow is set, in the final component too.
 func (fs *FS) Lookup(start *Inode, path string, cred Cred, follow bool) (*Inode, sys.Errno) {
-	return fs.LookupEx(fs.root, start, path, cred, follow)
+	return fs.LookupEx(fs.Root(), start, path, cred, follow)
 }
 
 // LookupEx is Lookup with an explicit root directory, for chrooted callers:
@@ -131,7 +144,7 @@ func (fs *FS) LookupEx(root, start *Inode, path string, cred Cred, follow bool) 
 // existing inode for that name (nil if absent). Symbolic links in the final
 // component are not followed.
 func (fs *FS) LookupParent(start *Inode, path string, cred Cred) (dir *Inode, name string, existing *Inode, err sys.Errno) {
-	return fs.LookupParentEx(fs.root, start, path, cred)
+	return fs.LookupParentEx(fs.Root(), start, path, cred)
 }
 
 // LookupParentEx is LookupParent with an explicit root directory.
@@ -152,7 +165,7 @@ func (fs *FS) LookupParentEx(root, start *Inode, path string, cred Cred) (dir *I
 // that mutate re-validate under the parent's lock.
 func (fs *FS) resolve(root, start *Inode, path string, cred Cred, follow, wantParent bool) (*Inode, *Inode, string, sys.Errno) {
 	if root == nil {
-		root = fs.root
+		root = fs.Root()
 	}
 	if path == "" {
 		return nil, nil, "", sys.ENOENT
@@ -306,6 +319,7 @@ func (fs *FS) makeNode(dir *Inode, name string, mode uint32, cred Cred, dev Devi
 	}
 	dir.mu.Lock()
 	defer dir.mu.Unlock()
+	dir.writable()
 	if dir.Nlink == 0 {
 		return nil, sys.ENOENT // directory was removed under us
 	}
@@ -333,6 +347,9 @@ func (fs *FS) makeNode(dir *Inode, name string, mode uint32, cred Cred, dev Devi
 		ip.setParent(dir)
 		dir.Nlink++ // ".." in the child
 	}
+	if dev != nil {
+		fs.bind(rdev, dev)
+	}
 	dir.insertLocked(name, ip)
 	return ip, sys.OK
 }
@@ -350,6 +367,7 @@ func (fs *FS) Link(dir *Inode, name string, target *Inode, cred Cred) sys.Errno 
 	}
 	dir.mu.Lock()
 	defer dir.mu.Unlock()
+	dir.writable()
 	if dir.Nlink == 0 {
 		return sys.ENOENT
 	}
@@ -359,6 +377,7 @@ func (fs *FS) Link(dir *Inode, name string, target *Inode, cred Cred) sys.Errno 
 	if e := checkWrite(cred, dir); e != sys.OK {
 		return e
 	}
+	target.writable()
 	target.mu.Lock()
 	if target.Nlink >= 32767 {
 		target.mu.Unlock()
@@ -393,6 +412,7 @@ func (fs *FS) Unlink(dir *Inode, name string, cred Cred) sys.Errno {
 	}
 	dir.mu.Lock()
 	defer dir.mu.Unlock()
+	dir.writable()
 	if dir.Nlink == 0 {
 		return sys.ENOENT
 	}
@@ -428,6 +448,7 @@ func (fs *FS) Rmdir(dir *Inode, name string, cred Cred) sys.Errno {
 	}
 	dir.mu.Lock()
 	defer dir.mu.Unlock()
+	dir.writable()
 	if dir.Nlink == 0 {
 		return sys.ENOENT
 	}
@@ -438,7 +459,7 @@ func (fs *FS) Rmdir(dir *Inode, name string, cred Cred) sys.Errno {
 	if !victim.IsDir() {
 		return sys.ENOTDIR
 	}
-	if victim == fs.root {
+	if victim == fs.Root() {
 		return sys.EBUSY
 	}
 	if e := checkWrite(cred, dir); e != sys.OK {
@@ -488,30 +509,31 @@ func (fs *FS) drop(ip *Inode) {
 // number. Caller holds renameMu, so the answer cannot be invalidated by a
 // concurrent rename.
 func (fs *FS) orderParents(a, b *Inode) (*Inode, *Inode) {
-	for d := b; ; {
-		if d == a {
-			return a, b // a is an ancestor of b
-		}
-		pp := d.parentPtr()
-		if d == fs.root || pp == nil || pp == d {
-			break
-		}
-		d = pp
-	}
-	for d := a; ; {
-		if d == b {
-			return b, a
-		}
-		pp := d.parentPtr()
-		if d == fs.root || pp == nil || pp == d {
-			break
-		}
-		d = pp
-	}
-	if a.Ino < b.Ino {
+	switch {
+	case fs.contains(a, b):
+		return a, b
+	case fs.contains(b, a):
+		return b, a
+	case a.Ino < b.Ino:
 		return a, b
 	}
 	return b, a
+}
+
+// contains reports whether directory a is d or one of d's ancestors.
+// Caller holds renameMu, which keeps the ancestry still.
+func (fs *FS) contains(a, d *Inode) bool {
+	root := fs.Root()
+	for {
+		if d == a {
+			return true
+		}
+		pp := d.parentPtr()
+		if d == root || pp == nil || pp == d {
+			return false
+		}
+		d = pp
+	}
 }
 
 // Rename moves the entry oldName in oldDir to newName in newDir, replacing
@@ -537,6 +559,8 @@ func (fs *FS) Rename(oldDir *Inode, oldName string, newDir *Inode, newName strin
 		second.mu.Lock()
 		defer second.mu.Unlock()
 	}
+	oldDir.writable()
+	newDir.writable()
 	if oldDir.Nlink == 0 || newDir.Nlink == 0 {
 		return sys.ENOENT
 	}
@@ -548,17 +572,8 @@ func (fs *FS) Rename(oldDir *Inode, oldName string, newDir *Inode, newName strin
 	// A directory may not be moved into itself or a descendant. This also
 	// rules out src == newDir, so the child locks taken below can never
 	// alias the parent locks already held.
-	if src.IsDir() {
-		for d := newDir; ; {
-			if d == src {
-				return sys.EINVAL
-			}
-			pp := d.parentPtr()
-			if d == fs.root || pp == nil || pp == d {
-				break
-			}
-			d = pp
-		}
+	if src.IsDir() && fs.contains(src, newDir) {
+		return sys.EINVAL
 	}
 	if e := checkWrite(cred, oldDir); e != sys.OK {
 		return e
@@ -579,6 +594,10 @@ func (fs *FS) Rename(oldDir *Inode, oldName string, newDir *Inode, newName strin
 			return sys.EISDIR
 		case !dst.IsDir() && src.IsDir():
 			return sys.ENOTDIR
+		case dst.IsDir() && fs.contains(dst, oldDir):
+			// dst holds src, so it is not empty, and its lock may already
+			// be held as oldDir or belong above it in lock order.
+			return sys.ENOTEMPTY
 		}
 	}
 	// One logical record covers the whole rename, replacement included, so
@@ -654,6 +673,7 @@ func stickyCheckLocked(cred Cred, dir *Inode, victimUID uint32) sys.Errno {
 func (fs *FS) Chmod(ip *Inode, mode uint32, cred Cred) sys.Errno {
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
+	ip.writable()
 	if !cred.Root() && cred.UID != ip.UID {
 		return sys.EPERM
 	}
@@ -674,6 +694,7 @@ func (fs *FS) Chmod(ip *Inode, mode uint32, cred Cred) sys.Errno {
 func (fs *FS) Chown(ip *Inode, uid, gid uint32, cred Cred) sys.Errno {
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
+	ip.writable()
 	if !cred.Root() {
 		if uid != 0xffffffff && uid != ip.UID {
 			return sys.EPERM
@@ -713,6 +734,7 @@ func (fs *FS) Chown(ip *Inode, uid, gid uint32, cred Cred) sys.Errno {
 func (fs *FS) Utimes(ip *Inode, atime, mtime time.Time, cred Cred) sys.Errno {
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
+	ip.writable()
 	if !cred.Root() && cred.UID != ip.UID {
 		if e := CheckAccess(cred, ip.Mode, ip.UID, ip.GID, sys.W_OK); e != sys.OK {
 			return sys.EPERM

@@ -80,7 +80,7 @@ func (fs *FS) Check() []string {
 			badf("%s: %d map entries but %d ordered names", path, len(ip.entries), len(ip.order))
 		}
 		for _, name := range ip.order {
-			child := ip.entries[name]
+			child := fs.peek(ip.entries[name])
 			if child == nil {
 				badf("%s: ordered name %q missing from lookup map", path, name)
 				continue
@@ -88,15 +88,16 @@ func (fs *FS) Check() []string {
 			refs[child.Ino]++
 			if child.IsDir() {
 				subdirs[ip.Ino]++
-				if pp := child.parentPtr(); pp != ip {
+				if pp := fs.peek(child.parentPtr()); pp != ip {
 					badf("%s/%s: \"..\" does not point at its parent", path, name)
 				}
 			}
 		}
 		// A current-epoch dentry snapshot may be partial but never wrong.
-		if dc := ip.dmap.Load(); dc != nil && dc.epoch == epoch {
+		// An image directory's snapshot is a dead cache: no walk reads it.
+		if dc := ip.dmap.Load(); dc != nil && dc.epoch == epoch && fs.owns(ip) {
 			for name, cached := range dc.m {
-				if got := ip.entries[name]; got != cached {
+				if got := fs.peek(ip.entries[name]); got != cached {
 					badf("%s: dentry cache maps %q to inode %v, directory has %v",
 						path, name, inoOf(cached), inoOf(got))
 				}
@@ -105,6 +106,7 @@ func (fs *FS) Check() []string {
 	})
 
 	// Link-count audit with the reference counts in hand.
+	root := fs.Root()
 	fs.walkTree(func(path string, ip *Inode) {
 		ip.mu.RLock()
 		nlink := ip.Nlink
@@ -117,7 +119,7 @@ func (fs *FS) Check() []string {
 				badf("%s: directory link count %d, want %d (2 + %d subdirs)",
 					path, nlink, want, subdirs[ip.Ino])
 			}
-			if ip != fs.root && refs[ip.Ino] != 1 {
+			if ip != root && refs[ip.Ino] != 1 {
 				badf("%s: directory referenced by %d dentries", path, refs[ip.Ino])
 			}
 		} else {

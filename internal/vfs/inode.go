@@ -27,6 +27,7 @@ type Inode struct {
 	mu sync.RWMutex
 
 	fs    *FS
+	layer uint32 // fs's layer when this inode was made; frozen once fs moves past it (fork.go)
 	Ino   uint32
 	typ   uint32 // file-type bits of Mode; immutable
 	Mode  uint32 // file type | permission bits
@@ -42,18 +43,10 @@ type Inode struct {
 	data []byte // regular files
 	link string // symlink target; immutable
 
-	// dataRefs, when non-nil, marks data as a copy-on-write array shared
-	// with forked filesystems (fork.go). The counter holds the number of
-	// inodes referencing the array; while it exceeds one the array is
-	// immutable and the first in-place mutation on either side copies out
-	// (unshareData). Installed by Fork under this inode's read lock via
-	// CAS, cleared by mutators under the write lock — so a writer never
-	// races a fork of the same inode, and unrelated inodes never contend.
-	// A filesystem dropped without writing never decrements, so the
-	// count only bounds the holders from above; it is 64-bit so that a
-	// long-lived template forked billions of times cannot wrap it to a
-	// value that lets a child write through the shared array.
-	dataRefs atomic.Pointer[atomic.Int64]
+	// cow marks data as an image's array (fork.go): it is never written
+	// in place or extended into its spare capacity, so the first write
+	// copies it out. Guarded by mu.
+	cow bool
 
 	// Directories: lookup map plus stable insertion order for iteration.
 	entries map[string]*Inode
@@ -197,60 +190,33 @@ func toTimeval(t time.Time) sys.Timeval {
 	return sys.Timeval{Sec: uint32(t.Unix()), Usec: uint32(t.Nanosecond() / 1000)}
 }
 
-// unshareData makes ip the sole owner of its data array before an
-// in-place mutation. Shared arrays (dataRefs non-nil) are immutable:
-// with other holders remaining the bytes are copied out and this side's
-// reference dropped; as the last holder the array is simply reclaimed.
-// Caller holds ip.mu exclusively, which excludes a concurrent Fork of
-// this inode (Fork reads under ip.mu.RLock).
+// unshareData makes ip the owner of its data array before an in-place
+// mutation, copying an image's array out. Caller holds ip.mu exclusively.
 func (ip *Inode) unshareData() {
-	refs := ip.dataRefs.Load()
-	if refs == nil {
-		return
-	}
-	if refs.Load() > 1 {
-		nd := make([]byte, len(ip.data))
-		copy(nd, ip.data)
-		ip.data = nd
-		ip.dataRefs.Store(nil)
-		refs.Add(-1)
-		return
-	}
-	// Sole holder: every sibling already copied out (their decrements
-	// happened under their own locks before ours could observe 1), so the
-	// array is exclusively ours again.
-	ip.dataRefs.Store(nil)
-}
-
-// releaseDataRef drops ip's share of a COW array when a mutation is
-// about to replace ip.data wholesale (the growth paths allocate a fresh
-// array anyway, so copying out first would be wasted work). Caller holds
-// ip.mu exclusively and must reassign ip.data before unlocking.
-func (ip *Inode) releaseDataRef() {
-	if refs := ip.dataRefs.Load(); refs != nil {
-		ip.dataRefs.Store(nil)
-		refs.Add(-1)
+	if ip.cow {
+		ip.data = append([]byte(nil), ip.data...)
+		ip.cow = false
 	}
 }
 
 // growLocked extends the file to end bytes, zero-filling from the old
-// length. An exclusively owned array grows in place within its capacity
-// and otherwise reallocates with append's geometric headroom, so a file
+// length. An owned array grows in place within its capacity and
+// otherwise reallocates with append's geometric headroom, so a file
 // built by appends is copied O(log n) times, not once per write. The
 // spare capacity may hold stale bytes from a truncate-down, which is why
-// the new tail is cleared. A COW-shared array (dataRefs) is never
-// extended in place: the fork sibling shares its spare capacity and may
-// extend into it too. Caller holds ip.mu exclusively.
+// the new tail is cleared. An image's array (cow) is never extended in
+// place: every clone of the image shares its spare capacity. Caller
+// holds ip.mu exclusively.
 func (ip *Inode) growLocked(end int64) {
 	old := len(ip.data)
 	n := int(end) - old
 	// append(s, make([]byte, n)...) allocates nothing for the make.
-	if ip.dataRefs.Load() == nil {
+	if !ip.cow {
 		ip.data = append(ip.data, make([]byte, n)...)
 		return
 	}
 	ip.data = append(ip.data[:old:old], make([]byte, n)...)
-	ip.releaseDataRef()
+	ip.cow = false
 }
 
 // writeLocked copies p into the file data at off, growing it as needed.
@@ -259,14 +225,14 @@ func (ip *Inode) writeLocked(p []byte, off int64) {
 	if end := off + int64(len(p)); end > int64(len(ip.data)) {
 		ip.growLocked(end)
 	} else {
-		// Never scribble on a COW array a fork sibling still reads.
+		// Never scribble on an image's array.
 		ip.unshareData()
 	}
 	copy(ip.data[off:], p)
 }
 
-// truncateLocked sets the file length. Shrink is a reslice: the shared
-// array's bytes are untouched, so COW sharing (dataRefs) survives a
+// truncateLocked sets the file length. Shrink is a reslice: the array's
+// bytes are untouched, so an image's array stays shared (cow) after a
 // truncate-down. Caller holds ip.mu exclusively.
 func (ip *Inode) truncateLocked(length int64) {
 	if length < int64(len(ip.data)) {
@@ -287,6 +253,7 @@ func (ip *Inode) ReadAt(p []byte, off int64) (int, sys.Errno) {
 	}
 	ip.mu.Lock() // write lock: reads update the access time
 	defer ip.mu.Unlock()
+	ip.writable()
 	ip.Atime = ip.fs.now()
 	ip.bump()
 	if off >= int64(len(ip.data)) {
@@ -308,6 +275,7 @@ func (ip *Inode) WriteAt(p []byte, off int64, maxSize int64) (int, sys.Errno) {
 	}
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
+	ip.writable()
 	end := off + int64(len(p))
 	if maxSize > 0 && end > maxSize {
 		if off >= maxSize {
@@ -340,6 +308,7 @@ func (ip *Inode) Truncate(length int64) sys.Errno {
 	}
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
+	ip.writable()
 	if e := ip.fs.jlog(&journal.Record{Op: journal.OpTruncate, Ino: ip.Ino,
 		Size: length}); e != sys.OK {
 		return e
@@ -408,6 +377,9 @@ func (ip *Inode) EntryCount() (int, sys.Errno) {
 
 // directory-entry helpers; callers hold the directory's lock.
 
+// lookupLocked resolves name in the directory, "." and ".." included.
+// A directory's parent pointer is always its own filesystem's inode
+// (fork.go), so only entries need reaching.
 func (ip *Inode) lookupLocked(name string) *Inode {
 	switch name {
 	case ".":
@@ -418,7 +390,13 @@ func (ip *Inode) lookupLocked(name string) *Inode {
 		}
 		return ip
 	}
-	return ip.entries[name]
+	return ip.child(name)
+}
+
+// child returns the entry name as an inode of ip's own filesystem,
+// cloning it from the image the first time it is reached (nil if absent).
+func (ip *Inode) child(name string) *Inode {
+	return ip.fs.reach(ip.entries[name])
 }
 
 func (ip *Inode) insertLocked(name string, child *Inode) {

@@ -36,11 +36,21 @@ type Replayer struct {
 
 // NewReplayer indexes fs's reachable inodes by number. resolve maps
 // device rdevs to drivers for replayed device-node creates (nil is fine
-// when the journal creates none).
+// when the journal creates none). On an overlay the index reads through
+// to the image; a record clones only the inodes it reaches (inode).
 func NewReplayer(fs *FS, resolve func(rdev uint32) (Device, bool)) *Replayer {
 	rp := &Replayer{fs: fs, byIno: map[uint32]*Inode{}, resolve: resolve}
 	fs.walkTree(func(_ string, ip *Inode) { rp.byIno[ip.Ino] = ip })
 	return rp
+}
+
+// inode returns the filesystem's own inode numbered ino (nil if none).
+func (rp *Replayer) inode(ino uint32) *Inode {
+	ip := rp.fs.reach(rp.byIno[ino])
+	if ip != nil {
+		rp.byIno[ino] = ip
+	}
+	return ip
 }
 
 // Stats reports how many records were applied and how many skipped as
@@ -58,6 +68,7 @@ func (rp *Replayer) Apply(r *journal.Record) error {
 	if r.Seq != 0 && r.Seq <= rp.fs.jnlSeq.Load() {
 		return rp.skip() // at or below the world's applied watermark
 	}
+	rp.fs.changed.Store(true)
 	defer rp.fs.bumpSeq(r.Seq)
 	switch r.Op {
 	case journal.OpCreate:
@@ -95,7 +106,7 @@ func (rp *Replayer) ReplayAll(recs []*journal.Record) error {
 }
 
 func (rp *Replayer) create(r *journal.Record) error {
-	dir := rp.byIno[r.Dir]
+	dir := rp.inode(r.Dir)
 	if dir == nil || !dir.IsDir() {
 		return rp.skip()
 	}
@@ -110,6 +121,7 @@ func (rp *Replayer) create(r *journal.Record) error {
 	now := rp.now()
 	ip := &Inode{
 		fs:    rp.fs,
+		layer: rp.fs.layer.Load(),
 		Ino:   r.Ino,
 		typ:   r.Mode & sys.S_IFMT,
 		Mode:  r.Mode,
@@ -131,6 +143,7 @@ func (rp *Replayer) create(r *journal.Record) error {
 		if rp.resolve != nil {
 			if dev, ok := rp.resolve(r.Rdev); ok {
 				ip.dev = dev
+				rp.fs.bind(r.Rdev, dev)
 			}
 		}
 	}
@@ -146,7 +159,7 @@ func (rp *Replayer) create(r *journal.Record) error {
 }
 
 func (rp *Replayer) link(r *journal.Record) error {
-	dir, target := rp.byIno[r.Dir], rp.byIno[r.Ino]
+	dir, target := rp.inode(r.Dir), rp.inode(r.Ino)
 	if dir == nil || !dir.IsDir() || target == nil {
 		return rp.skip()
 	}
@@ -165,13 +178,13 @@ func (rp *Replayer) link(r *journal.Record) error {
 }
 
 func (rp *Replayer) unlink(r *journal.Record) error {
-	dir := rp.byIno[r.Dir]
+	dir := rp.inode(r.Dir)
 	if dir == nil || !dir.IsDir() {
 		return rp.skip()
 	}
 	dir.mu.Lock()
 	defer dir.mu.Unlock()
-	victim := dir.entries[r.Name]
+	victim := dir.child(r.Name)
 	if victim == nil || victim.Ino != r.Ino {
 		return rp.skip() // already applied, or the name holds newer truth
 	}
@@ -181,13 +194,13 @@ func (rp *Replayer) unlink(r *journal.Record) error {
 }
 
 func (rp *Replayer) rmdir(r *journal.Record) error {
-	dir := rp.byIno[r.Dir]
+	dir := rp.inode(r.Dir)
 	if dir == nil || !dir.IsDir() {
 		return rp.skip()
 	}
 	dir.mu.Lock()
 	defer dir.mu.Unlock()
-	victim := dir.entries[r.Name]
+	victim := dir.child(r.Name)
 	if victim == nil || victim.Ino != r.Ino || !victim.IsDir() {
 		return rp.skip()
 	}
@@ -204,7 +217,7 @@ func (rp *Replayer) rmdir(r *journal.Record) error {
 }
 
 func (rp *Replayer) rename(r *journal.Record) error {
-	oldDir, newDir := rp.byIno[r.Dir], rp.byIno[r.Dir2]
+	oldDir, newDir := rp.inode(r.Dir), rp.inode(r.Dir2)
 	if oldDir == nil || !oldDir.IsDir() || newDir == nil || !newDir.IsDir() {
 		return rp.skip()
 	}
@@ -220,12 +233,15 @@ func (rp *Replayer) rename(r *journal.Record) error {
 		second.mu.Lock()
 		defer second.mu.Unlock()
 	}
-	src := oldDir.entries[r.Name]
+	src := oldDir.child(r.Name)
 	if src == nil || src.Ino != r.Ino {
 		return rp.skip() // already moved (or the name was reused later)
 	}
-	if dst := newDir.entries[r.Name2]; dst != nil {
-		if dst == src {
+	if src.IsDir() && rp.fs.contains(src, newDir) {
+		return rp.skip() // a live rename refuses this; only a damaged journal holds it
+	}
+	if dst := newDir.child(r.Name2); dst != nil {
+		if dst == src || dst.IsDir() && rp.fs.contains(dst, oldDir) {
 			return rp.skip()
 		}
 		// Replay the replacement half first.
@@ -276,14 +292,14 @@ func (rp *Replayer) dropRef(ip *Inode) {
 }
 
 func (rp *Replayer) write(r *journal.Record) error {
-	ip := rp.byIno[r.Ino]
+	ip := rp.inode(r.Ino)
 	if ip == nil || ip.typ != sys.S_IFREG {
 		return rp.skip()
 	}
 	ip.mu.Lock()
 	defer ip.mu.Unlock()
-	// Replay onto a forked world must not scribble on a COW array the
-	// fork sibling still reads (fork.go); writeLocked copies out first.
+	// Replay onto a forked world must not scribble on an image's array
+	// (fork.go); writeLocked copies out first.
 	ip.writeLocked(r.Data, r.Off)
 	now := rp.now()
 	ip.Mtime, ip.Ctime = now, now
@@ -292,7 +308,7 @@ func (rp *Replayer) write(r *journal.Record) error {
 }
 
 func (rp *Replayer) truncate(r *journal.Record) error {
-	ip := rp.byIno[r.Ino]
+	ip := rp.inode(r.Ino)
 	if ip == nil || ip.typ != sys.S_IFREG {
 		return rp.skip()
 	}
@@ -306,7 +322,7 @@ func (rp *Replayer) truncate(r *journal.Record) error {
 }
 
 func (rp *Replayer) chmod(r *journal.Record) error {
-	ip := rp.byIno[r.Ino]
+	ip := rp.inode(r.Ino)
 	if ip == nil {
 		return rp.skip()
 	}
@@ -320,7 +336,7 @@ func (rp *Replayer) chmod(r *journal.Record) error {
 }
 
 func (rp *Replayer) chown(r *journal.Record) error {
-	ip := rp.byIno[r.Ino]
+	ip := rp.inode(r.Ino)
 	if ip == nil {
 		return rp.skip()
 	}
@@ -335,7 +351,7 @@ func (rp *Replayer) chown(r *journal.Record) error {
 }
 
 func (rp *Replayer) utimes(r *journal.Record) error {
-	ip := rp.byIno[r.Ino]
+	ip := rp.inode(r.Ino)
 	if ip == nil {
 		return rp.skip()
 	}

@@ -29,10 +29,10 @@ const snapMagic = "IVFSNAP1"
 // snapEnc builds the snapshot payload.
 type snapEnc struct{ buf []byte }
 
-func (e *snapEnc) u(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *snapEnc) i(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *snapEnc) s(s string)  { e.u(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *snapEnc) b(p []byte)  { e.u(uint64(len(p))); e.buf = append(e.buf, p...) }
+func (e *snapEnc) u(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
+func (e *snapEnc) i(v int64)  { e.buf = binary.AppendVarint(e.buf, v) }
+func (e *snapEnc) s(s string) { e.u(uint64(len(s))); e.buf = append(e.buf, s...) }
+func (e *snapEnc) b(p []byte) { e.u(uint64(len(p))); e.buf = append(e.buf, p...) }
 
 // snapDec consumes a snapshot payload with bounds checking.
 type snapDec struct {
@@ -108,13 +108,14 @@ func (fs *FS) WriteSnapshot(w io.Writer) error {
 		}
 		ip.mu.RUnlock()
 		for _, c := range kids {
-			walk(c)
+			walk(fs.peek(c))
 		}
 	}
-	walk(fs.root)
+	root := fs.Root()
+	walk(root)
 
 	var e snapEnc
-	e.u(uint64(fs.root.Ino))
+	e.u(uint64(root.Ino))
 	e.u(uint64(fs.nextIno.Load()))
 	e.u(fs.jnlSeq.Load())
 	e.u(uint64(len(inodes)))
@@ -239,6 +240,7 @@ func ReadSnapshot(r io.Reader, clock func() time.Time, resolve func(rdev uint32)
 				return nil, fmt.Errorf("vfs: snapshot device %d:%d has no driver",
 					ip.Rdev>>8, ip.Rdev&0xff)
 			}
+			fs.bind(ip.Rdev, ip.dev)
 		}
 		if d.err != nil {
 			return nil, d.err
@@ -271,32 +273,22 @@ func ReadSnapshot(r io.Reader, clock func() time.Time, resolve func(rdev uint32)
 		}
 	}
 
-	fs.root = byIno[rootIno]
-	if fs.root == nil || !fs.root.IsDir() {
+	root := byIno[rootIno]
+	if root == nil || !root.IsDir() {
 		return nil, fmt.Errorf("vfs: snapshot root %d missing or not a directory", rootIno)
 	}
+	fs.root.Store(root)
 	fs.nextIno.Store(nextIno)
 	fs.ninodes.Store(int64(len(byIno)))
 	fs.jnlSeq.Store(jnlSeq)
 	return fs, nil
 }
 
-// InodeByNumber finds the reachable inode numbered ino (nil if none), for
-// journal replay and recovery audits. It walks the tree; not a fast path.
-func (fs *FS) InodeByNumber(ino uint32) *Inode {
-	var found *Inode
-	fs.walkTree(func(_ string, ip *Inode) {
-		if ip.Ino == ino {
-			found = ip
-		}
-	})
-	return found
-}
-
 // walkTree visits every reachable inode exactly once (by inode number),
 // parents before children, passing each inode's path. Directory listings
 // are read under the directory's read lock, child names in sorted order
-// for deterministic traversal.
+// for deterministic traversal. It reads through an overlay: an inode not
+// yet reached is visited as its image version, and nothing is cloned.
 func (fs *FS) walkTree(visit func(path string, ip *Inode)) {
 	seen := map[uint32]bool{}
 	var walk func(path string, ip *Inode)
@@ -324,8 +316,8 @@ func (fs *FS) walkTree(visit func(path string, ip *Inode)) {
 			if path == "/" {
 				p = "/" + name
 			}
-			walk(p, child)
+			walk(p, fs.peek(child))
 		}
 	}
-	walk("/", fs.root)
+	walk("/", fs.Root())
 }

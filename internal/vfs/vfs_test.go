@@ -298,6 +298,24 @@ func TestRenameDirIntoOwnSubtree(t *testing.T) {
 	_ = a
 }
 
+// TestRenameOverAncestor: renaming a directory over the directory that
+// holds it fails with ENOTEMPTY rather than locking that directory twice.
+func TestRenameOverAncestor(t *testing.T) {
+	fs := build(t)
+	a := mustLookup(t, fs, "/a")
+	b := mustLookup(t, fs, "/a/b")
+	if _, err := fs.Mkdir(b, "x", 0o755, root0); err != sys.OK {
+		t.Fatal(err)
+	}
+	if err := fs.Rename(a, "b", fs.Root(), "a", root0); err != sys.ENOTEMPTY {
+		t.Fatalf("rename /a/b over /a = %v, want ENOTEMPTY", err)
+	}
+	if err := fs.Rename(b, "x", fs.Root(), "a", root0); err != sys.ENOTEMPTY {
+		t.Fatalf("rename /a/b/x over /a = %v, want ENOTEMPTY", err)
+	}
+	checkInvariants(t, fs)
+}
+
 func TestRenameDirUpdatesDotDot(t *testing.T) {
 	fs := build(t)
 	root := fs.Root()

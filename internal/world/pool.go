@@ -9,23 +9,23 @@ import (
 	"interpose/internal/telemetry"
 )
 
-// Pool keeps N pre-warmed copy-on-write clones of one template world so
-// that acquiring a session world is a stack pop, not a boot. The
-// template is the caller's: a booted world (typically bare — Register
-// and Setup only) that every member is a Fork of, and that several
-// pools may share. The pool never closes it; the caller closes the
-// template after every pool built on it. The fork cost is paid off the
-// request path, by NewPoolFrom and by the asynchronous refiller.
+// Pool keeps N pre-forked members of one template world so that
+// acquiring a session world is a stack pop. The template is the
+// caller's: a booted world (typically bare — Register and Setup only)
+// that every member is a Fork of, and that several pools may share. The
+// pool never closes it; the caller closes the template after every pool
+// built on it. A member's fork — an empty overlay on the template's
+// frozen image plus the member's facility set-up — runs in NewPoolFrom
+// and in the asynchronous refiller rather than in Acquire.
 //
 // Handout is LIFO: the most recently forked member is the one whose
-// inode structs and dentry paths are most likely still cache-warm.
-// Members are consumed, not returned — a used world carries tenant
-// state, and a fresh fork is cheaper than any scrub would be. Close the
-// acquired world as usual when the session ends; Close the pool to tear
-// down the warm stack.
+// structures are most likely still cache-warm. Members are consumed,
+// not returned — a used world carries tenant state, and a fresh fork is
+// cheaper than any scrub would be. Close the acquired world as usual
+// when the session ends; Close the pool to tear down the warm stack.
 //
-// Acquire on an empty pool forks inline (a miss): still far cheaper
-// than a boot, since the template's filesystem is shared copy-on-write.
+// Acquire on an empty pool forks inline (a miss): a fork costs the same
+// whatever the template's size, since members share its frozen image.
 // Every acquire (hit or miss) kicks the refiller if it is not already
 // running, so the stack climbs back to target in the background.
 type Pool struct {

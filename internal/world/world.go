@@ -16,7 +16,8 @@
 // A world is built one of two ways, and both end in the same facility
 // sequence (finishBoot): Boot builds the kernel from scratch (image
 // registry, program installs, Setup hooks) or from a checkpoint; Fork
-// clones a live world copy-on-write in O(#inodes). Boot is the host-side
+// makes a copy-on-reach overlay of a live world's frozen filesystem, at
+// a cost independent of the tree. Boot is the host-side
 // entry point (agentrun, experiments). The multi-tenant server
 // (internal/worldd) boots once — a bare base world — and hosts every
 // tenant, pool member and recovery rebuild as a Fork of it (Pool keeps
@@ -286,10 +287,11 @@ func Boot(spec Spec) (*World, error) {
 
 // Fork clones a booted template into a new, independently bootable world
 // without serializing through a checkpoint: the kernel is forked
-// copy-on-write (kernel.Fork → vfs.FS.Fork), so the cost is O(#inodes)
-// and independent of how many bytes the template's filesystem holds.
-// This is worldd's only construction path and the warm-pool fast path
-// (pool.go).
+// copy-on-reach (kernel.Fork → vfs.FS.Fork). The template's tree freezes
+// once as an image and the child starts as an empty overlay on it, so
+// the cost depends neither on how many inodes nor on how many bytes the
+// template's filesystem holds. This is worldd's only construction path
+// and what a warm pool (pool.go) runs off the request path.
 //
 // The child gets the facilities spec declares — its own telemetry
 // registry, tracer, injector, supervisor, journal, agent stack — wired

@@ -23,22 +23,24 @@
 // # Boot once per daemon
 //
 // New boots one bare base world from Config.Register and Config.Setup —
-// the only boot the server runs. Every world it hosts is a copy-on-write
-// fork of that base (world.Fork): a create is one O(#inodes) fork plus
-// the spec's own facilities (journal with replay, fsck gate, telemetry,
-// tracer, injector, supervisor, agents), never a rebuild of the image
-// set and fixtures, and a recovery rebuild is the same fork with the
-// tenant's journal replayed onto it. A wire spec with `pool` > 0 goes
-// one step further: worlds with identical specs (name and pool size
-// aside) share one pool of pre-forked base clones, so creation is a
-// stack pop off the request path (see world.Pool). All pools share the
-// base as their template. Every hosted world is otherwise an ordinary,
-// fully isolated tenant — COW unsharing means a write in one never
-// appears in a sibling or in the base — and is closed, not recycled, on
-// DELETE. Idle worlds run zero goroutines; the per-world cost is the
-// kernel's in-memory inode tree (file data stays shared with the base
-// until written) plus whatever facilities the spec opted into
-// (telemetry registries carry latency histograms and a flight ring, so
+// the only boot the server runs. Every world it hosts is a copy-on-reach
+// fork of that base (world.Fork). The base never changes after Setup, so
+// its tree freezes once, on the first fork, into an image every tenant
+// shares; a create is an empty overlay on that image plus the spec's own
+// facilities (journal with replay, fsck gate, telemetry, tracer,
+// injector, supervisor, agents), never a rebuild of the image set and
+// fixtures, and a recovery rebuild is the same fork with the tenant's
+// journal replayed onto it. A wire spec with `pool` > 0 goes one step
+// further: worlds with identical specs (name and pool size aside) share
+// one pool of pre-forked members, so creation is a stack pop (see
+// world.Pool). All pools share the base as their template. Every hosted
+// world is otherwise an ordinary, fully isolated tenant — it clones an
+// inode the first time it reaches it, so a write in one never appears
+// in a sibling or in the base — and is closed, not recycled, on DELETE.
+// Idle worlds run zero goroutines; the per-world cost is the inodes the
+// tenant has reached (file data stays shared with the base until
+// written) plus whatever facilities the spec opted into (telemetry
+// registries carry latency histograms and a flight ring, so
 // memory-conscious fleets leave Telemetry off and rely on the server's
 // own session counters).
 //
@@ -83,7 +85,7 @@ type Config struct {
 	// every hosted world shares it.
 	Register func(*image.Registry)
 	// Setup hooks run once, on the base world (optional fixtures); every
-	// hosted world inherits their output copy-on-write.
+	// hosted world inherits their output through the base's frozen image.
 	Setup []func(*kernel.Kernel) error
 	// StateDir is the directory holding tenant journal files. A wire
 	// spec's `journal` field is a bare key, not a host path: the server
@@ -220,7 +222,7 @@ type Server struct {
 	// base is the bare world New boots from Config.Register and
 	// Config.Setup: no agents, journal or telemetry, and it never runs
 	// a session. Every hosted world — plain tenant, pool member,
-	// recovery rebuild — is a copy-on-write fork of it. Shutdown closes
+	// recovery rebuild — is a copy-on-reach fork of it. Shutdown closes
 	// it after every tenant and pool.
 	base *world.World
 
@@ -623,7 +625,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // build constructs a world for an entry — on create and on every
 // recovery rebuild alike: a pooled tenant takes a warm member from its
-// pool, any other tenant is a fresh copy-on-write fork of the base,
+// pool, any other tenant is a fresh copy-on-reach fork of the base,
 // whose journal (if any) is replayed and fsck-gated by the fork's
 // facility setup. Either way the world is a fork of the one base world
 // the server booted; nothing on the request path boots.
