@@ -119,7 +119,6 @@ func main() {
 	traceSample := flag.Float64("trace-sample", -1, "span head-sampling probability in [0,1]; default 1 with -trace-out, else tracing off")
 	traceSlow := flag.Duration("trace-slow", 0, "also retain unsampled calls at least this slow (tail sampling; 0 disables)")
 	journalPath := flag.String("journal", "", "attach a write-ahead journal backed by this host file (with -restore: replay it first, then append)")
-	poolSize := flag.Int("pool", 0, "acquire the session world from a warm pool of this many pre-forked clones (pool gauges show up in -stats)")
 	checkpointPath := flag.String("checkpoint", "", "write a checkpoint of the final world to this file after a clean run")
 	restorePath := flag.String("restore", "", "boot from this checkpoint file instead of a fresh world")
 	flag.Parse()
@@ -139,14 +138,6 @@ func main() {
 	argv := flag.Args()
 	if len(argv) == 0 {
 		fmt.Fprintln(os.Stderr, "usage: agentrun [-a agent[=arg]]... -- PROGRAM [args...]")
-		os.Exit(2)
-	}
-	// Pool members are anonymous forks of one template; a journal
-	// names one world's durable history and a checkpoint restores one
-	// world's state. Neither identity can be shared by a pool, so say so
-	// up front instead of letting the pool constructor refuse later.
-	if *poolSize > 0 && (*journalPath != "" || *restorePath != "") {
-		fmt.Fprintln(os.Stderr, "agentrun: -pool cannot be combined with -journal or -restore (pooled worlds are anonymous clones; journals and checkpoints name a single world)")
 		os.Exit(2)
 	}
 
@@ -188,33 +179,7 @@ func main() {
 		}
 	}
 
-	// -pool N takes the session world from a warm pool instead of
-	// booting it: the same spec, but the handout is a pool hit (or an
-	// inline fork on a miss) of a bare template booted here, and the
-	// pool's hit/miss/size/refill gauges land in the -stats counters.
-	// agentrun runs one session, so the leftover warm clones and the
-	// template are torn down as soon as one is taken; the session world
-	// owns its forked filesystem and outlives both.
-	var err error
-	if *poolSize > 0 {
-		tmpl, terr := world.Boot(world.Spec{Name: "template", Register: spec.Register, Setup: spec.Setup})
-		if terr != nil {
-			fatal(terr)
-		}
-		pool, perr := world.NewPoolFrom(tmpl, spec, *poolSize)
-		if perr != nil {
-			fatal(perr)
-		}
-		w, err = pool.Acquire()
-		if cerr := pool.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-		if cerr := tmpl.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-	} else {
-		w, err = world.Boot(spec)
-	}
+	w, err := world.Boot(spec)
 	if err != nil {
 		fatal(err)
 	}

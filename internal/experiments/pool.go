@@ -10,12 +10,12 @@ import (
 	"interpose/internal/world"
 )
 
-// The pooling table ("pool"): what copy-on-reach forking and the warm
-// pool buy over booting a world per session. Five claims are measured:
+// The forking table ("pool"): what copy-on-reach forking buys over
+// booting a world per session. Four claims are measured:
 //
 //   - boot: booting (and closing) one world from the full application
-//     image set — the cost the session path pays without a pool,
-//     re-measured here so the relations compare two legs of one run;
+//     image set — the cost every create would pay without forking,
+//     re-measured here so the table reads as one run;
 //   - fork: world.Fork from a live template whose filesystem carries a
 //     small bench tree. The template freezes once, on its first fork;
 //     every later fork is an empty overlay on that image plus the
@@ -25,20 +25,15 @@ import (
 //     data this row would be two orders of magnitude slower;
 //   - fork/wide: the same fork against a template with 8,192 bench
 //     files, 128x the small tree's. If the fork were cloning inodes up
-//     front this row would be two orders of magnitude slower;
-//   - acquire-hit: Pool.Acquire with a warm stack — the cost a pooled
-//     worldd tenant actually pays on the request path, a mutex-guarded
-//     stack pop plus gauge wiring.
+//     front this row would be two orders of magnitude slower.
 //
-// The acquire-hit and fork rows are guarded against the baseline, which
-// catches a fork that starts copying or an acquire that grows work; the
-// relations pin the cross-row claims (acquire beats boot, fork cost
-// independent of file bytes and of inode count) on any host.
+// The fork row is guarded against the baseline, which catches a fork
+// that starts copying; the relations pin fork cost independent of file
+// bytes and of inode count on any host. The table keeps its old name so
+// its rows stay comparable across BENCH files.
 var poolTable = Table{Name: "pool", run: runPool,
-	Guards: []string{"acquire-hit", "fork"},
+	Guards: []string{"fork"},
 	Relations: []Relation{
-		{Left: "acquire-hit", Right: "boot", Factor: 0.4,
-			Why: "a pool-hit acquire must be far cheaper than the boot it replaces (the <50µs-vs-~113µs claim)"},
 		{Left: "fork/large", Right: "fork", Factor: 2.0,
 			Why: "fork cost must not depend on file bytes: 256x the bytes may not move the fork time"},
 		{Left: "fork/wide", Right: "fork", Factor: 2.0,
@@ -50,10 +45,6 @@ const (
 	poolBoots = 200
 	// poolForks is the per-round fork count of the fork rows.
 	poolForks = 200
-	// poolAcquires is the warm-stack depth and per-round acquire count
-	// of the acquire-hit row: a fresh pool pre-warmed to this depth is
-	// drained exactly once, so every timed acquire is a hit.
-	poolAcquires = 64
 	// poolTreeFiles is the bench-tree file count of the fork and
 	// fork/large templates; only the per-file byte size differs between
 	// them. poolWideFiles is the fork/wide template's, spread over
@@ -112,46 +103,6 @@ func measureFork(runs, files, fileSize int) (time.Duration, error) {
 	})
 }
 
-// measureAcquire drains a pre-warmed pool exactly once per round. The
-// warm stack starts at poolAcquires members and acquires only pop, so
-// every timed acquire is a hit regardless of how far the background
-// refiller gets. Every round's pool forks one template.
-func measureAcquire(runs int) (time.Duration, error) {
-	tmpl, err := world.Boot(apps.Spec())
-	if err != nil {
-		return 0, fmt.Errorf("template: %w", err)
-	}
-	defer tmpl.Close()
-	return bestOf(runs, func() (time.Duration, error) {
-		p, err := world.NewPoolFrom(tmpl, apps.Spec(), poolAcquires)
-		if err != nil {
-			return 0, fmt.Errorf("pool: %w", err)
-		}
-		defer p.Close()
-		worlds := make([]*world.World, 0, poolAcquires)
-		d, err := perOp(poolAcquires, func() error {
-			w, err := p.Acquire()
-			if err != nil {
-				return fmt.Errorf("acquire: %w", err)
-			}
-			worlds = append(worlds, w)
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		if s := p.Stats(); s.Misses > 0 {
-			return 0, fmt.Errorf("%d misses on a pre-warmed pool", s.Misses)
-		}
-		for _, w := range worlds {
-			if err := w.Close(); err != nil {
-				return 0, fmt.Errorf("session close: %w", err)
-			}
-		}
-		return d, p.Close()
-	})
-}
-
 func runPool(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 	boot, err := bootClose(poolBoots)
 	if err != nil {
@@ -169,18 +120,13 @@ func runPool(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	acquire, err := measureAcquire(runs)
-	if err != nil {
-		return nil, err
-	}
 	es := []BenchEntry{
 		entry("boot", boot),
 		entry("fork", fork),
 		entry("fork/large", forkLarge),
 		entry("fork/wide", forkWide),
-		entry("acquire-hit", acquire),
 	}
-	printRows(w, fmt.Sprintf("Warm pools and copy-on-reach forking (%d-file bench tree, %dB vs %dB files; wide: %d files):",
+	printRows(w, fmt.Sprintf("Copy-on-reach forking (%d-file bench tree, %dB vs %dB files; wide: %d files):",
 		poolTreeFiles, poolSmallFile, poolLargeFile, poolWideFiles), es, nil)
 	return es, nil
 }

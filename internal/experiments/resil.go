@@ -18,12 +18,13 @@ import (
 //   - probe: one liveness probe (an exec of /bin/true straight through
 //     the world, exactly what the watchdog runs on an idle tenant) — the
 //     recurring cost of health monitoring;
-//   - boot: a cold world boot + close — the recovery cost floor without
-//     a warm pool, and the comparator for the recovery rows;
-//   - recover/pool and recover/journal: the daemon's measured rebuild
+//   - boot: a cold world boot + close — what a rebuild would cost if it
+//     booted, and the comparator for the recovery rows;
+//   - recover/fork and recover/journal: the daemon's measured rebuild
 //     time (teardown + replacement, excluding detection and backoff, as
 //     reported by the world's rebuild_ns gauge) after an injected
-//     kernel crash, for a pooled and a journaled tenant;
+//     kernel crash, for a tenant without a journal (a bare fork of the
+//     base) and for a journaled one (a fork plus replay);
 //   - session and session/admit: the daemon exec round trip without and
 //     with the admission machinery engaged (global inflight gate, health
 //     gate, per-tenant session cap + token bucket, none rejecting) —
@@ -31,14 +32,14 @@ import (
 //
 // The probe and session/admit rows are guarded against the baseline, so
 // neither the idle watchdog nor the admitted fast path can grow work as
-// the health machinery evolves; the relations pin recovery-from-pool
-// under cold boot and the admit path within 15% of the bare session on
-// any host.
+// the health machinery evolves; the relations pin a journal-free
+// recovery under cold boot and the admit path within 15% of the bare
+// session on any host.
 var resilTable = Table{Name: "resil", run: runResil,
 	Guards: []string{"probe", "session/admit"},
 	Relations: []Relation{
-		{Left: "recover/pool", Right: "boot", Factor: 1.0,
-			Why: "recovery through the warm pool must beat the cold boot it replaces"},
+		{Left: "recover/fork", Right: "boot", Factor: 1.0,
+			Why: "a rebuild forks the daemon's base, so it must beat the cold boot it replaces"},
 		{Left: "session/admit", Right: "session", Factor: 1.15,
 			Why: "the admission gates must add no measurable cost to the admitted session fast path"},
 	}}
@@ -144,10 +145,10 @@ func runResil(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 		return nil, err
 	}
 
-	// Recovery: mean rebuild time after an injected crash, pooled vs
+	// Recovery: mean rebuild time after an injected crash, bare fork vs
 	// journal-replaying.
-	recoverPool, err := measureRecovery(
-		[]byte(`{"name":"rp","pool":2,"inject":"seed=1,open:/boom=crash@1"}`), "")
+	recoverFork, err := measureRecovery(
+		[]byte(`{"name":"rf","inject":"seed=1,open:/boom=crash@1"}`), "")
 	if err != nil {
 		return nil, err
 	}
@@ -180,14 +181,14 @@ func runResil(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 	es := []BenchEntry{
 		entry("probe", probe),
 		entry("boot", boot),
-		entry("recover/pool", time.Duration(recoverPool)),
+		entry("recover/fork", time.Duration(recoverFork)),
 		entry("recover/journal", time.Duration(recoverJournal)),
 		entry("session", session),
 		entry("session/admit", sessionAdmit),
 	}
 	notes := map[string]string{
 		"probe":           "   (idle watchdog cost per probe)",
-		"recover/pool":    "   (teardown + rebuild, detection excluded)",
+		"recover/fork":    "   (teardown + rebuild, detection excluded)",
 		"recover/journal": "   (teardown + rebuild, detection excluded)",
 		"session/admit":   "   (admission gates engaged, none rejecting)",
 	}

@@ -35,7 +35,7 @@ import (
 //
 // The session and idle-mem rows are guarded against the baseline; the
 // boot row rides along unguarded (it is noisy on shared runners, and
-// the crash, pool and resil tables relation-gate boot cost).
+// the crash and resil tables relation-gate boot cost).
 var worlddTable = Table{Name: "worldd", run: runWorldd,
 	Guards: []string{"session", "idle-mem/world"}}
 

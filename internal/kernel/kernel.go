@@ -97,22 +97,16 @@ type Kernel struct {
 	exec execCache
 
 	// extraGauges, when non-nil, contributes host-side gauge rows (e.g.
-	// the warm-pool hit/miss/size gauges a pooled world reports) to the
+	// the health state worldd reports for a hosted world) to the
 	// telemetry snapshot alongside the kernel's own cache gauges, so they
-	// surface in /dev/metrics and agentrun -stats.
-	extraGauges atomic.Pointer[gaugeSourceBox]
+	// surface in /dev/metrics.
+	extraGauges atomic.Pointer[func() []telemetry.NamedCounter]
 
 	// crashHook, when non-nil, is invoked at the top of Crash — before
 	// any kernel lock is taken — so a machine supervisor (worldd's
 	// health watchdog) learns of a crash-freeze the moment it happens
 	// instead of on its next poll. The hook must not block.
 	crashHook atomic.Pointer[func()]
-}
-
-// gaugeSourceBox wraps a gauge function so the atomic pointer has a
-// concrete element type.
-type gaugeSourceBox struct {
-	fn func() []telemetry.NamedCounter
 }
 
 // Injector is the kernel-side fault injection hook: consulted after all
@@ -217,32 +211,19 @@ func (k *Kernel) cacheGauges() []telemetry.NamedCounter {
 		)
 	}
 	if g := k.extraGauges.Load(); g != nil {
-		out = append(out, g.fn()...)
+		out = append(out, (*g)()...)
 	}
 	return out
 }
 
-// AddExtraGauges chains fn onto the kernel's extra gauge source, so
-// independent facilities (a warm pool's gauges, a health watchdog's
-// state rows) can each contribute without knowing about the other. Rows
-// append in installation order. A nil fn is a no-op.
-func (k *Kernel) AddExtraGauges(fn func() []telemetry.NamedCounter) {
+// SetExtraGauges installs fn as the kernel's extra gauge source,
+// replacing any earlier one; nil removes it.
+func (k *Kernel) SetExtraGauges(fn func() []telemetry.NamedCounter) {
 	if fn == nil {
+		k.extraGauges.Store(nil)
 		return
 	}
-	for {
-		old := k.extraGauges.Load()
-		combined := fn
-		if old != nil {
-			prev := old.fn
-			combined = func() []telemetry.NamedCounter {
-				return append(prev(), fn()...)
-			}
-		}
-		if k.extraGauges.CompareAndSwap(old, &gaugeSourceBox{fn: combined}) {
-			return
-		}
-	}
+	k.extraGauges.Store(&fn)
 }
 
 // Telemetry returns the installed registry, or nil.

@@ -252,6 +252,10 @@ func TestSigpause(t *testing.T) {
 	st, out := runFn(t, func(lt *libc.T) int {
 		got := 0
 		lt.Signal(sys.SIGUSR2, func(*libc.T, int) { got++ })
+		// Block the signal until Sigpause unblocks it atomically: left
+		// unblocked, a child's kill that lands before fork returns is
+		// delivered at fork's exit, and Sigpause waits forever.
+		lt.Sigblock(sys.SigMask(sys.SIGUSR2))
 		pid, _ := lt.Fork(func(ct *libc.T) {
 			ct.Kill(ct.Getppid(), sys.SIGUSR2)
 			ct.Exit(0)

@@ -20,9 +20,8 @@
 // a cost independent of the tree. Boot is the host-side
 // entry point (agentrun, experiments). The multi-tenant server
 // (internal/worldd) boots once — a bare base world — and hosts every
-// tenant, pool member and recovery rebuild as a Fork of it (Pool keeps
-// warm forks of a caller's template), thousands of worlds in one
-// process, so Close must return a world to nothing: no goroutines, no
+// tenant and recovery rebuild as a Fork of it, thousands of worlds in
+// one process, so Close must return a world to nothing: no goroutines, no
 // host descriptors, no zombies — and must never disturb the parent it
 // was forked from.
 //
@@ -82,8 +81,8 @@ type SuperviseSpec struct {
 	Cooldown time.Duration `json:"cooldown_ns,omitempty"`
 }
 
-// AdmissionSpec is a tenant's session admission budget. Like Pool, the
-// world layer itself ignores it: a session-hosting server (worldd)
+// AdmissionSpec is a tenant's session admission budget. The world
+// layer itself ignores it: a session-hosting server (worldd)
 // enforces the caps at its front door, before a request ever reaches
 // the world lock, so an over-subscribed tenant is shed with a retryable
 // status instead of queueing unboundedly on the console.
@@ -147,11 +146,9 @@ type Spec struct {
 	// launches, by name: nofile, fsize, data, cpu, core, stack, rss.
 	Rlimits map[string]uint64 `json:"rlimits,omitempty"`
 
-	// Pool, when > 0, asks a pooling host (worldd) to serve this world
-	// from a warm pool of this many pre-forked template clones instead
-	// of booting on the request path. Worlds with identical specs (name
-	// and pool size aside) share one pool. The world layer itself
-	// ignores the field; see Pool (pool.go) and internal/worldd.
+	// Pool is accepted on the wire and ignored: every worldd world is
+	// already an O(1) fork of the daemon's base. It goes at the next
+	// benchmark change, whose specs still set it.
 	Pool int `json:"pool,omitempty"`
 
 	// Admission, when set, asks a session-hosting server (worldd) to
@@ -290,8 +287,7 @@ func Boot(spec Spec) (*World, error) {
 // copy-on-reach (kernel.Fork → vfs.FS.Fork). The template's tree freezes
 // once as an image and the child starts as an empty overlay on it, so
 // the cost depends neither on how many inodes nor on how many bytes the
-// template's filesystem holds. This is worldd's only construction path
-// and what a warm pool (pool.go) runs off the request path.
+// template's filesystem holds. This is worldd's only construction path.
 //
 // The child gets the facilities spec declares — its own telemetry
 // registry, tracer, injector, supervisor, journal, agent stack — wired

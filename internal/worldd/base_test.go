@@ -7,6 +7,7 @@ package worldd_test
 // last.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -74,16 +75,17 @@ func runDirect(t *testing.T, w *world.World) outcome {
 
 // TestConstructionPathsAgree runs one workload on every way a world is
 // built — a host-side world.Boot, a world.Fork of a bare base, a
-// Pool.Acquire from a pool over that base, and a journaled worldd tenant
-// that an injected fault crashes mid-workload and the watchdog rebuilds
-// (a fork of the daemon's base with the journal replayed) — and
-// requires identical exit statuses, outputs and FS.StateHash on all
-// four. This is the transparency check for boot-once-per-daemon: a
-// tenant must not be able to tell a fork from a boot.
+// world.Boot restored from a checkpoint of that base, and a journaled
+// worldd tenant that an injected fault crashes mid-workload and the
+// watchdog rebuilds (a fork of the daemon's base with the journal
+// replayed) — and requires identical exit statuses, outputs and
+// FS.StateHash on all four. This is the transparency check for
+// boot-once-per-daemon: a tenant must not be able to tell a fork or a
+// restore from a boot.
 //
 // One difference is deliberate and invisible here: fixture mtimes are
-// the base's boot time, not the tenant's create time — which pooled
-// tenants have always seen — and StateHash leaves timestamps out by
+// the base's boot time, not the tenant's create time, and StateHash
+// leaves timestamps out by
 // design (replay reassigns them from the recovery clock). The workload
 // observes no absolute time: ls -l prints no dates, and mk compares a
 // freshly touched defs.h against fixtures that are older on every path.
@@ -107,16 +109,19 @@ func TestConstructionPathsAgree(t *testing.T) {
 	}
 	outcomes["fork"] = runDirect(t, forked)
 
-	pool, err := world.NewPoolFrom(base, apps.Spec(), 1)
+	// The base is frozen now; its checkpoint reads through the image.
+	var ckpt bytes.Buffer
+	if err := base.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	restoreSpec := apps.Spec()
+	restoreSpec.Name = "restore"
+	restoreSpec.RestoreFrom = &ckpt
+	restored, err := world.Boot(restoreSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close()
-	member, err := pool.Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes["pool"] = runDirect(t, member)
+	outcomes["restore"] = runDirect(t, restored)
 
 	// The daemon tenant: the write sessions land in its file journal, a
 	// poison open crashes the machine, and the last session runs on the
@@ -188,7 +193,7 @@ func registerPoke(r *image.Registry) {
 // copy-on-write — and checks that
 // goroutine and descriptor counts stay flat, that the base's StateHash
 // never moves (no child wrote through a shared data array), and that
-// Shutdown closes the base after every tenant and pool.
+// Shutdown closes the base after every tenant.
 func TestBaseNoWriteThrough(t *testing.T) {
 	cycles := 1000
 	if testing.Short() {
@@ -203,9 +208,9 @@ func TestBaseNoWriteThrough(t *testing.T) {
 	c := &client{t: t, base: hs.URL, hc: hs.Client(), srv: srv}
 	want := srv.Base().Kernel().FS().StateHash()
 
-	// A pool over the base lives through the soak, so Shutdown has one
-	// to close before the base.
-	pooled := c.create(world.Spec{Name: "pooled", Pool: 2})
+	// A tenant lives through the soak, so Shutdown has one to close
+	// before the base.
+	resident := c.create(world.Spec{Name: "resident"})
 	n := 0
 	cycle := func() {
 		// Alternate a file journal (a host descriptor per tenant, a fresh
@@ -254,8 +259,8 @@ func TestBaseNoWriteThrough(t *testing.T) {
 	if got := srv.Base().Kernel().FS().StateHash(); got != want {
 		t.Fatalf("base StateHash moved: %x -> %x (a child wrote through)", want, got)
 	}
-	if res := c.exec(pooled, "sh", "-c", "echo y > /src/defs.h"); res.Status != 0 {
-		t.Fatalf("pooled tenant: %+v", res)
+	if res := c.exec(resident, "sh", "-c", "echo y > /src/defs.h"); res.Status != 0 {
+		t.Fatalf("resident tenant: %+v", res)
 	}
 
 	hs.Close()

@@ -18,8 +18,7 @@
 // left. Dead is acted on: the world is condemned (world.Kill, which
 // fails new sessions fast and breaks a wedged one loose with SIGKILL),
 // torn down via world.Close (sealing its journal), and rebuilt the way
-// it was created (Server.build) — a warm-pool member for pooled
-// tenants, a fresh fork of the server's base otherwise, its journal
+// it was created — a fresh fork of the server's base, its journal
 // replayed and fsck-gated — under exponential backoff with
 // deterministic jitter and a per-tenant restart budget.
 //
@@ -173,8 +172,8 @@ func (e *entry) toSuspect(reason string) {
 }
 
 // healthGauges feeds the per-world health rows into /dev/metrics and
-// agentrun -stats via the kernel's extra-gauge chain (installed by
-// adopt, alongside any pool gauges).
+// agentrun -stats as the kernel's extra gauge source (installed by
+// adopt).
 func (e *entry) healthGauges() []telemetry.NamedCounter {
 	return []telemetry.NamedCounter{
 		{Name: "health.state", Value: uint64(e.health.Load())},
@@ -190,7 +189,7 @@ func (s *Server) adopt(e *entry, w *world.World) {
 	}
 	k := w.Kernel()
 	k.SetCrashHook(func() { s.declareDead(e, "crash-freeze") })
-	k.AddExtraGauges(e.healthGauges)
+	k.SetExtraGauges(e.healthGauges)
 }
 
 // rand is a lock-free xorshift64 over the server's seeded state: the
@@ -418,9 +417,8 @@ func (s *Server) startRecovery(e *entry) {
 
 // recoverLoop rebuilds one dead world: backoff (jittered, exponential),
 // budget check, teardown of the old incarnation (Kill + Close — the
-// close seals the journal), then Server.build — a warm-pool acquire for
-// pooled tenants, a fork of the base with journal replay and fsck gate
-// otherwise. A failed rebuild consumes budget and retries; an exhausted
+// close seals the journal), then a fork of the base with journal replay
+// and fsck gate, as on create. A failed rebuild consumes budget and retries; an exhausted
 // budget parks the tenant (terminal until DELETE). The loop aborts
 // cleanly on drain or DELETE.
 func (s *Server) recoverLoop(e *entry) {
@@ -464,7 +462,7 @@ func (s *Server) recoverLoop(e *entry) {
 			old.Kill()
 			old.Close()
 		}
-		nw, err := s.build(e)
+		nw, err := world.Fork(s.base, e.spec)
 		if err != nil {
 			e.mu.Unlock()
 			s.logf("worldd: %s rebuild failed: %v", e.ID, err)

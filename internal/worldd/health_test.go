@@ -171,37 +171,6 @@ func TestWatchdogRecoversWedgedWorld(t *testing.T) {
 	}
 }
 
-// TestPooledRecoveryUsesPool: a pooled tenant's replacement comes from
-// the warm pool (a fork, not a boot) — observable as pool hits/misses
-// moving while the world recovers.
-func TestPooledRecoveryUsesPool(t *testing.T) {
-	c := testServerCfg(t, worldd.Config{Health: fastHealth()})
-	id := c.create(world.Spec{
-		Name:   "pooled",
-		Pool:   2,
-		Inject: "seed=11,open:/boom=crash@1",
-	})
-	var before worldd.Metrics
-	c.do("GET", "/1.0/metrics", nil, &before)
-	execStatus(c, id, "cat", "/boom")
-	info := waitHealthy(t, c, id, 1, 5*time.Second)
-	var after worldd.Metrics
-	c.do("GET", "/1.0/metrics", nil, &after)
-	if len(after.Pools) != 1 {
-		t.Fatalf("pools section: %+v", after.Pools)
-	}
-	handed := after.Pools[0].Hits + after.Pools[0].Misses
-	if handedBefore := before.Pools[0].Hits + before.Pools[0].Misses; handed <= handedBefore {
-		t.Fatalf("recovery did not draw from the pool: %d -> %d", handedBefore, handed)
-	}
-	if res := c.exec(id, "echo", "pooled"); res.Output != "pooled\n" {
-		t.Fatalf("post-recovery: %+v", res)
-	}
-	if info.RebuildNs <= 0 {
-		t.Fatalf("rebuild time not recorded: %+v", info)
-	}
-}
-
 // TestQuarantineMarksSuspect: a supervisor quarantine makes the world
 // suspect (advisory — it keeps serving sessions).
 func TestQuarantineMarksSuspect(t *testing.T) {
@@ -418,8 +387,8 @@ func TestStrictDecoding(t *testing.T) {
 
 // TestMetricsUnderStorm: GET /1.0/metrics stays coherent while worlds
 // are created, exercised, and deleted underneath it — every response
-// decodes, closed never exceeds created, and the health and pools
-// sections are present.
+// decodes, closed never exceeds created, and the health section is
+// present.
 func TestMetricsUnderStorm(t *testing.T) {
 	c := testServerCfg(t, worldd.Config{Health: fastHealth()})
 
@@ -460,9 +429,6 @@ func TestMetricsUnderStorm(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < cycles; i++ {
 				spec := world.Spec{Name: fmt.Sprintf("storm%d", tn)}
-				if tn%2 == 0 {
-					spec.Pool = 2 // half the storm is pooled: the pools section must show up
-				}
 				var info worldd.Info
 				if st := c.do("POST", "/1.0/worlds", spec, &info); st != http.StatusCreated {
 					t.Errorf("create: status %d", st)
@@ -485,9 +451,6 @@ func TestMetricsUnderStorm(t *testing.T) {
 	}
 	var m worldd.Metrics
 	c.do("GET", "/1.0/metrics", nil, &m)
-	if len(m.Pools) == 0 {
-		t.Fatalf("pools section empty after pooled storm: %+v", m.Pools)
-	}
 	if m.Created != m.Closed || m.Worlds != 0 {
 		t.Fatalf("storm did not settle: %+v", m)
 	}

@@ -3,12 +3,16 @@ package worldd_test
 import (
 	"net/http"
 	"testing"
+	"time"
 
 	"interpose/internal/world"
 	"interpose/internal/worldd"
 )
 
-// TestPooledTenantIsolation: tenants served from the same warm pool are
+// The wire spec's pool field is accepted and ignored: a tenant that
+// asks for a pool is an ordinary fork of the base.
+
+// TestPooledTenantIsolation: tenants whose specs ask for a pool are
 // full worlds — divergent writes stay private, and the standard
 // lifecycle (exec, info, delete) works unchanged.
 func TestPooledTenantIsolation(t *testing.T) {
@@ -49,70 +53,9 @@ func TestPooledTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestPooledMetrics: the fleet metrics view carries each pool's gauges,
-// and pooled tenants with telemetry contribute to the merged snapshot
-// like any other tenant.
-func TestPooledMetrics(t *testing.T) {
-	c := testServer(t)
-
-	id := c.create(world.Spec{Name: "pooled", Pool: 2, Telemetry: true})
-	res := c.exec(id, "echo", "hi")
-	if res.Status != 0 || res.Output != "hi\n" {
-		t.Fatalf("echo: status %d output %q", res.Status, res.Output)
-	}
-
-	var m worldd.Metrics
-	if st := c.do("GET", "/1.0/metrics", nil, &m); st != http.StatusOK {
-		t.Fatalf("metrics: status %d", st)
-	}
-	if len(m.Pools) != 1 {
-		t.Fatalf("pools in metrics: %d, want 1", len(m.Pools))
-	}
-	p := m.Pools[0]
-	if p.Name != "pooled" {
-		t.Fatalf("pool label %q", p.Name)
-	}
-	if p.Hits+p.Misses != 1 {
-		t.Fatalf("pool acquires %d, want 1 (%+v)", p.Hits+p.Misses, p)
-	}
-	if p.Target != 2 {
-		t.Fatalf("pool target %d, want 2 (%+v)", p.Target, p)
-	}
-	if m.Telemetry.Total == 0 {
-		t.Fatalf("pooled tenant missing from merged telemetry: %+v", m.Telemetry)
-	}
-
-	// Two pooled tenants with the same spec share one pool; a different
-	// spec gets its own.
-	c.create(world.Spec{Name: "pooled2", Pool: 2, Telemetry: true})
-	c.create(world.Spec{Name: "other", Pool: 2})
-	if st := c.do("GET", "/1.0/metrics", nil, &m); st != http.StatusOK {
-		t.Fatalf("metrics: status %d", st)
-	}
-	if len(m.Pools) != 2 {
-		t.Fatalf("pools after three tenants: %d, want 2", len(m.Pools))
-	}
-}
-
-// TestPooledRejectsFileJournal: a file journal cannot back N identical
-// pool members; the server must refuse at create time, not fail later.
-func TestPooledRejectsFileJournal(t *testing.T) {
-	c := testServer(t)
-	spec := world.Spec{Name: "bad", Pool: 2, JournalPath: "key"}
-	if st := c.do("POST", "/1.0/worlds", spec, nil); st != http.StatusBadRequest {
-		t.Fatalf("pooled file journal: status %d, want 400", st)
-	}
-	// JournalMem is the supported pooled journaling mode.
-	id := c.create(world.Spec{Name: "memj", Pool: 1, JournalMem: true})
-	res := c.exec(id, "sh", "-c", "echo ok > /state")
-	if res.Status != 0 {
-		t.Fatalf("journaled pooled write: status %d", res.Status)
-	}
-}
-
 // TestPooledBreakerIsolation re-runs the breaker isolation scenario on
-// pooled tenants: two tenants served from one warm pool get their own
-// supervisors, so one tenant's contained failures and quarantine never
+// two tenants with one spec that asks for a pool: each gets its own
+// supervisor, so one tenant's contained failures and quarantine never
 // perturb the sibling.
 func TestPooledBreakerIsolation(t *testing.T) {
 	c := testServer(t)
@@ -129,7 +72,7 @@ func TestPooledBreakerIsolation(t *testing.T) {
 
 	for i := 0; i < 4; i++ {
 		// The victim's writes panic and are contained; its sessions must
-		// not kill the world. The sibling shares the victim's pool but
+		// not kill the world. The sibling shares the victim's spec but
 		// not its supervisor state: reads are uninterposed there, and
 		// echo's own write panics are its own breaker's business.
 		vres := c.exec(victim, "echo", "doomed")
@@ -138,7 +81,7 @@ func TestPooledBreakerIsolation(t *testing.T) {
 		}
 	}
 	// The sibling's world still runs sessions and its filesystem is its
-	// own — the victim's containment did not leak across the pool.
+	// own — the victim's containment did not leak across tenants.
 	sres := c.exec(sibling, "cat", "/bin/echo")
 	if !sres.Exited() {
 		t.Fatalf("sibling session killed: %+v", sres)
@@ -154,5 +97,49 @@ func TestPooledBreakerIsolation(t *testing.T) {
 	}
 	if contained == 0 {
 		t.Fatalf("no containment recorded fleet-wide: %+v", m.Telemetry.Counters)
+	}
+}
+
+// TestPoolFieldIgnored: a create with "pool":2 and a file journal runs,
+// hashes and recovers like one without the pool field, and
+// /1.0/metrics reports no warm members: its one pools row counts every
+// create as a hit.
+func TestPoolFieldIgnored(t *testing.T) {
+	c := testServerCfg(t, worldd.Config{Health: fastHealth()})
+	const poison = "seed=1,open:/boom=crash@1"
+	ids := map[string]string{
+		"plain":  c.create(world.Spec{Name: "plain", JournalPath: "plain", Inject: poison}),
+		"pooled": c.create(world.Spec{Name: "pooled", Pool: 2, JournalPath: "pooled", Inject: poison}),
+	}
+
+	type outcome struct {
+		before, after world.ExecResult
+		hash          [32]byte
+	}
+	got := map[string]outcome{}
+	for kind, id := range ids {
+		var o outcome
+		o.before = observe(c.exec(id, "sh", "-c", "mkdir /w; echo kept > /w/f; cat /w/f"))
+		if st := execStatus(c, id, "cat", "/boom"); st != http.StatusServiceUnavailable {
+			t.Fatalf("%s: poison session: status %d, want 503", kind, st)
+		}
+		waitHealthy(t, c, id, 1, 5*time.Second)
+		o.after = observe(c.exec(id, "cat", "/w/f"))
+		o.hash = c.srv.Current(id).Kernel().FS().StateHash()
+		got[kind] = o
+	}
+	if want := (world.ExecResult{Output: "kept\n"}); got["plain"].before != want || got["plain"].after != want {
+		t.Fatalf("plain tenant: %+v", got["plain"])
+	}
+	if got["pooled"] != got["plain"] {
+		t.Fatalf("pooled tenant %+v, plain tenant %+v", got["pooled"], got["plain"])
+	}
+
+	var m worldd.Metrics
+	if st := c.do("GET", "/1.0/metrics", nil, &m); st != http.StatusOK {
+		t.Fatalf("metrics: status %d", st)
+	}
+	if want := (worldd.PoolInfo{Hits: 2}); len(m.Pools) != 1 || m.Pools[0] != want {
+		t.Fatalf("pools %+v after 2 creates, want [%+v]", m.Pools, want)
 	}
 }

@@ -52,7 +52,7 @@ func TestChaosSoak(t *testing.T) {
 		Seed:            42,
 	}})
 
-	// The victims: a journaled tenant and a pooled tenant that die by
+	// The victims: a journaled tenant and a bare tenant that die by
 	// injected kernel crash, and one whose agent wedges a session past
 	// twice the deadline (hang > 2×SessionDeadline so the watchdog, not
 	// the fault, decides the session's fate).
@@ -64,8 +64,7 @@ func TestChaosSoak(t *testing.T) {
 			Inject:      "seed=7,open:/boom=crash@1",
 		}),
 		c.create(world.Spec{
-			Name:   "pooled",
-			Pool:   2,
+			Name:   "bare",
 			Inject: "seed=11,open:/boom=crash@1",
 		}),
 		c.create(world.Spec{
@@ -105,7 +104,7 @@ func TestChaosSoak(t *testing.T) {
 		prev[vi] = info.Restarts
 	}
 
-	// Warm up every path (pool construction, journal replay, probe and
+	// Warm up every path (journal replay, probe and
 	// recovery machinery, http keep-alives) before the leak baselines.
 	for vi := range victims {
 		kill(vi)

