@@ -8,13 +8,19 @@ import (
 	"interpose/internal/sys"
 )
 
+// TestCopyRoundTrip: a copy that fits below the break round-trips; one
+// that runs past it faults both ways.
 func TestCopyRoundTrip(t *testing.T) {
+	const brk = 64 * 1024
 	a := NewAS()
-	if e := a.SetBrk(DataBase + 64*1024); e != sys.OK {
+	if e := a.SetBrk(DataBase + brk); e != sys.OK {
 		t.Fatal(e)
 	}
 	f := func(data []byte, off uint16) bool {
 		addr := DataBase + sys.Word(off)
+		if int(off)+len(data) > brk {
+			return a.CopyOut(addr, data) == sys.EFAULT && a.CopyIn(addr, make([]byte, len(data))) == sys.EFAULT
+		}
 		if e := a.CopyOut(addr, data); e != sys.OK {
 			return false
 		}

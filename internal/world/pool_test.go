@@ -60,6 +60,43 @@ func TestPoolClose(t *testing.T) {
 	}
 }
 
+// TestPoolMissForksInline: with nothing pre-forked, every Acquire forks
+// the template inline; the world it returns carries the template's
+// filesystem, and its writes stay out of the template and later forks.
+func TestPoolMissForksInline(t *testing.T) {
+	p, err := NewPool(tinySpec(), 1)
+	if err != nil {
+		t.Fatalf("pool: %v", err)
+	}
+	t.Cleanup(func() { p.Close() })
+
+	w, err := p.Acquire()
+	if err != nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	t.Cleanup(func() { w.Close() })
+	if w == p.template {
+		t.Fatal("acquire handed out the template itself")
+	}
+	if data, err := w.Kernel().ReadFile("/state"); err != nil || string(data) != "template\n" {
+		t.Fatalf("forked world state: %v %q", err, data)
+	}
+	if err := w.Kernel().WriteFile("/state", []byte("mine\n"), 0o644); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+
+	w2, err := p.Acquire()
+	if err != nil {
+		t.Fatalf("second acquire: %v", err)
+	}
+	t.Cleanup(func() { w2.Close() })
+	for name, fw := range map[string]*World{"template": p.template, "second fork": w2} {
+		if data, err := fw.Kernel().ReadFile("/state"); err != nil || string(data) != "template\n" {
+			t.Fatalf("%s saw the first fork's write: %v %q", name, err, data)
+		}
+	}
+}
+
 // TestPoolAcquireStorm: concurrent acquires each fork a distinct,
 // runnable world that carries the template's filesystem.
 func TestPoolAcquireStorm(t *testing.T) {

@@ -100,11 +100,65 @@ func TestPooledBreakerIsolation(t *testing.T) {
 	}
 }
 
-// TestPoolFieldIgnored: a create with "pool":2 and a file journal runs,
-// hashes and recovers like one without the pool field, and
-// /1.0/metrics reports no warm members: its one pools row counts every
-// create as a hit.
-func TestPoolFieldIgnored(t *testing.T) {
+// TestPooledMetrics: a tenant whose spec asks for a pool shows up in
+// the merged telemetry like any other, and /1.0/metrics reports no warm
+// members: its one pools row counts every create as a hit, whatever the
+// specs.
+func TestPooledMetrics(t *testing.T) {
+	c := testServer(t)
+
+	id := c.create(world.Spec{Name: "pooled", Pool: 2, Telemetry: true})
+	res := c.exec(id, "echo", "hi")
+	if res.Status != 0 || res.Output != "hi\n" {
+		t.Fatalf("echo: status %d output %q", res.Status, res.Output)
+	}
+
+	var m worldd.Metrics
+	if st := c.do("GET", "/1.0/metrics", nil, &m); st != http.StatusOK {
+		t.Fatalf("metrics: status %d", st)
+	}
+	if want := (worldd.PoolInfo{Hits: 1}); len(m.Pools) != 1 || m.Pools[0] != want {
+		t.Fatalf("pools %+v after 1 create, want [%+v]", m.Pools, want)
+	}
+	if m.Telemetry.Total == 0 {
+		t.Fatalf("pooled tenant missing from merged telemetry: %+v", m.Telemetry)
+	}
+
+	// Neither a second tenant of the same spec nor one of another spec
+	// adds a row: there is no per-spec pool to report.
+	c.create(world.Spec{Name: "pooled2", Pool: 2, Telemetry: true})
+	c.create(world.Spec{Name: "other", Pool: 2})
+	if st := c.do("GET", "/1.0/metrics", nil, &m); st != http.StatusOK {
+		t.Fatalf("metrics: status %d", st)
+	}
+	if want := (worldd.PoolInfo{Hits: 3}); len(m.Pools) != 1 || m.Pools[0] != want {
+		t.Fatalf("pools %+v after 3 creates, want [%+v]", m.Pools, want)
+	}
+}
+
+// TestPooledRejectsFileJournal keeps the name of the check that worldd
+// answered a pooled spec with a file journal by 400. The pool field is
+// now ignored, so that spec is accepted and journals like any other;
+// a pooled in-memory journal works as before.
+func TestPooledRejectsFileJournal(t *testing.T) {
+	c := testServer(t)
+	for _, spec := range []world.Spec{
+		{Name: "filej", Pool: 2, JournalPath: "key"},
+		{Name: "memj", Pool: 1, JournalMem: true},
+	} {
+		id := c.create(spec)
+		res := c.exec(id, "sh", "-c", "echo ok > /state; cat /state")
+		if res.Status != 0 || res.Output != "ok\n" {
+			t.Fatalf("%s: journaled pooled write: status %d output %q", spec.Name, res.Status, res.Output)
+		}
+	}
+}
+
+// TestPooledRecoveryUsesPool keeps the name of the check that a pooled
+// tenant's replacement came from its warm pool. Recovery now forks the
+// base for every tenant, so a tenant with "pool":2 and a file journal
+// must recover to the same outputs and StateHash as one without it.
+func TestPooledRecoveryUsesPool(t *testing.T) {
 	c := testServerCfg(t, worldd.Config{Health: fastHealth()})
 	const poison = "seed=1,open:/boom=crash@1"
 	ids := map[string]string{
@@ -123,7 +177,9 @@ func TestPoolFieldIgnored(t *testing.T) {
 		if st := execStatus(c, id, "cat", "/boom"); st != http.StatusServiceUnavailable {
 			t.Fatalf("%s: poison session: status %d, want 503", kind, st)
 		}
-		waitHealthy(t, c, id, 1, 5*time.Second)
+		if info := waitHealthy(t, c, id, 1, 5*time.Second); info.RebuildNs <= 0 {
+			t.Fatalf("%s: rebuild time not recorded: %+v", kind, info)
+		}
 		o.after = observe(c.exec(id, "cat", "/w/f"))
 		o.hash = c.srv.Current(id).Kernel().FS().StateHash()
 		got[kind] = o
@@ -133,13 +189,5 @@ func TestPoolFieldIgnored(t *testing.T) {
 	}
 	if got["pooled"] != got["plain"] {
 		t.Fatalf("pooled tenant %+v, plain tenant %+v", got["pooled"], got["plain"])
-	}
-
-	var m worldd.Metrics
-	if st := c.do("GET", "/1.0/metrics", nil, &m); st != http.StatusOK {
-		t.Fatalf("metrics: status %d", st)
-	}
-	if want := (worldd.PoolInfo{Hits: 2}); len(m.Pools) != 1 || m.Pools[0] != want {
-		t.Fatalf("pools %+v after 2 creates, want [%+v]", m.Pools, want)
 	}
 }
