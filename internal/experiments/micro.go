@@ -27,19 +27,28 @@ type callee struct{ v int }
 //go:noinline
 func (c *callee) Call(x int) int { return x + c.v }
 
-// Measure times one operation by running it in a calibrated loop.
+// Measure times one operation. It calibrates a loop count n whose run
+// takes over 20 ms (or reaches 1<<24), then times a separate run of n
+// calls and returns the per-call mean. A stall in a calibration round (a
+// GC, a descheduled thread) can end calibration early but is never
+// reported: a timed run under half the target means calibration was
+// fooled, and it resumes from the next n.
 func Measure(op func()) time.Duration {
-	n := 1
-	for {
+	run := func(n int) time.Duration {
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			op()
 		}
-		elapsed := time.Since(start)
-		if elapsed > 20*time.Millisecond || n >= 1<<24 {
-			return elapsed / time.Duration(n)
+		return time.Since(start)
+	}
+	const target, maxN = 20 * time.Millisecond, 1 << 24
+	for n := 1; ; n *= 4 {
+		if run(n) <= target && n < maxN {
+			continue
 		}
-		n *= 4
+		if d := run(n); d > target/2 || n >= maxN {
+			return d / time.Duration(n)
+		}
 	}
 }
 
@@ -143,13 +152,13 @@ func printTable34(w io.Writer, es []BenchEntry) {
 // The per-system-call table (Table 3-5): each call pattern run by the
 // bench program in a fresh world, without and then with the measurement
 // (null) agent. Two rows are guarded against the baseline: the two hot
-// paths this repository optimizes, the uninterposed stat (pathname and
-// attribute cache) and the intercepted getpid (interest-vector
-// dispatch). The baseline values carry modest headroom over a quiet-host
-// measurement (stat() ~380ns → 450ns, getpid() ~40ns → 48ns) so that
-// scheduler jitter on shared runners does not trip the gate, while a fall
-// back to the pre-cache walk (stat() ~825ns) or a slow dispatch path
-// still fails it.
+// paths this repository optimizes, the uninterposed stat (lock-free
+// pathname walk and stat snapshot) and the intercepted getpid
+// (interest-vector dispatch). The baseline values carry modest headroom
+// over a quiet-host measurement (stat() ~380ns → 450ns, getpid() ~40ns →
+// 48ns) so that scheduler jitter on shared runners does not trip the
+// gate, while a fall back to a locked walk (stat() ~825ns) or a slow
+// dispatch path still fails it.
 var table35 = Table{Name: "3-5", run: runTable35,
 	Guards: []string{"stat()/without", "getpid()/with"}}
 

@@ -21,11 +21,9 @@ import (
 // times stay flat rather than degrading); the speedup column only
 // becomes meaningful with multiple scheduler threads available.
 //
-// Two more rows measure the pathname cache: a stat-heavy parallel
+// One more row measures the pathname walk: a stat-heavy parallel
 // workload (StatHeavyJobs guests each performing StatHeavyOps stat calls
-// on the same path) with the VFS name/attribute cache on and off. Their
-// speedup is over the cache-off row, so the cache-on row reads directly
-// as the cache's speedup factor.
+// on the same path), which resolves every call without a lock.
 var scaleTable = Table{Name: "scale", run: runScale}
 
 // ScaleJobs is the job-count ladder of the scale table.
@@ -85,20 +83,11 @@ func runScale(w io.Writer, runs, programs int) ([]BenchEntry, error) {
 		return nil, err
 	}
 
-	statRows := []string{
-		fmt.Sprintf("j%d-stat-cache-on", StatHeavyJobs),
-		fmt.Sprintf("j%d-stat-cache-off", StatHeavyJobs),
+	k, err := World()
+	if err != nil {
+		return nil, err
 	}
-	for i, row := range statRows {
-		k, err := World()
-		if err != nil {
-			return nil, err
-		}
-		k.FS().SetNameCache(i == 0)
-		envs[row] = env{k: k}
-	}
-	stats, err := interleavedMean(runs, statRows, func(row string) (time.Duration, error) {
-		k := envs[row].k
+	stats, err := interleavedMean(runs, []string{fmt.Sprintf("j%d-stat", StatHeavyJobs)}, func(string) (time.Duration, error) {
 		start := time.Now()
 		procs := make([]*kernel.Proc, 0, StatHeavyJobs)
 		argv := []string{"bench", "stat", fmt.Sprint(StatHeavyOps)}
@@ -122,7 +111,8 @@ func runScale(w io.Writer, runs, programs int) ([]BenchEntry, error) {
 		programs, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "  %-6s %-12s %12s %10s\n", "Jobs", "Agent Name", "Elapsed", "Speedup")
 	printSpeedups(w, makes, makes[0])
-	printSpeedups(w, stats, stats[1])
+	fmt.Fprintf(w, "  %-6d %-12s %12s   (%d guests x %d stat calls)\n", StatHeavyJobs, "stat",
+		fmtDur(time.Duration(stats[0].NsPerOp)), StatHeavyJobs, StatHeavyOps)
 	fmt.Fprintln(w)
 	return append(makes, stats...), nil
 }

@@ -83,20 +83,20 @@ func (o Op) String() string {
 // Record is one logical redo record. Which fields are meaningful depends
 // on Op (see the Op constants). Seq is assigned by the Writer.
 type Record struct {
-	Seq  uint64
-	Op   Op
-	Dir  uint32 // containing directory inode (namespace ops)
-	Dir2 uint32 // rename destination directory
-	Ino  uint32 // the inode the record is about
-	Mode uint32
-	UID  uint32
-	GID  uint32
-	Rdev uint32
-	Off  int64 // write offset; OpUtimes atime (ns)
-	Size int64 // truncate length; OpUtimes mtime (ns)
-	Name string
+	Seq   uint64
+	Op    Op
+	Dir   uint32 // containing directory inode (namespace ops)
+	Dir2  uint32 // rename destination directory
+	Ino   uint32 // the inode the record is about
+	Mode  uint32
+	UID   uint32
+	GID   uint32
+	Rdev  uint32
+	Off   int64 // write offset; OpUtimes atime (ns)
+	Size  int64 // truncate length; OpUtimes mtime (ns)
+	Name  string
 	Name2 string
-	Data []byte // write payload; create symlink target
+	Data  []byte // write payload; create symlink target
 }
 
 // String renders the record for logs.

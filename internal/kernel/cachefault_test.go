@@ -10,16 +10,16 @@ import (
 	"interpose/internal/sys"
 )
 
-// TestFaultedCreateDoesNotPoisonNameCache is the cache/fault interaction
-// round: a creating open that fails (by injection at the kernel leg) must
-// leave the pathname cache's negative entry for the name in place — later
-// stats still see ENOENT — and a real create after the injector is
-// removed must invalidate that negative entry immediately.
+// TestFaultedCreateDoesNotPoisonNameCache is the name-table/fault
+// interaction round: a creating open that fails (by injection at the
+// kernel leg) must leave the name absent — later stats still see ENOENT,
+// each counted as a negative component — and a real create after the
+// injector is removed must be visible to the next stat at once.
 func TestFaultedCreateDoesNotPoisonNameCache(t *testing.T) {
 	reg := image.NewRegistry()
 	reg.Register("try", libc.Main(func(lt *libc.T) int {
-		// Warm the negative dentry entry, then fail the create, then
-		// check the name is still absent.
+		// Look the name up, fail the create, then check the name is
+		// still absent.
 		if _, err := lt.Stat("/tmp/victim"); err != sys.ENOENT {
 			lt.Printf("pre-stat: %v\n", err)
 			return 1
@@ -71,13 +71,14 @@ func TestFaultedCreateDoesNotPoisonNameCache(t *testing.T) {
 		}
 	}
 
+	before := k.FS().CacheStats().NegHits
 	run("try")
-	if st := k.FS().CacheStats(); st.NegHits == 0 {
-		t.Fatalf("negative entry never consulted: %+v", st)
+	if st := k.FS().CacheStats(); st.NegHits < before+2 {
+		t.Fatalf("two stats of an absent name counted %d negative components: %+v", st.NegHits-before, st)
 	}
 
-	// Injector gone: the same name must now be creatable, and the create
-	// must displace the negative entry at once.
+	// Injector gone: the same name must now be creatable, and the next
+	// stat must see the create at once.
 	k.SetInjector(nil)
 	run("make")
 }

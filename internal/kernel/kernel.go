@@ -193,7 +193,6 @@ func (k *Kernel) cacheGauges() []telemetry.NamedCounter {
 		{Name: "vfs.dentry.hit", Value: cs.Hits},
 		{Name: "vfs.dentry.miss", Value: cs.Misses},
 		{Name: "vfs.dentry.neghit", Value: cs.NegHits},
-		{Name: "vfs.dentry.inval", Value: cs.Invals},
 		{Name: "vfs.attr.hit", Value: cs.AttrHit},
 		{Name: "vfs.attr.miss", Value: cs.AttrMis},
 		{Name: "exec.image.hit", Value: eh},

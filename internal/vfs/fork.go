@@ -3,7 +3,7 @@ package vfs
 import (
 	"fmt"
 	"maps"
-	"slices"
+	"sync/atomic"
 	"time"
 
 	"interpose/internal/sys"
@@ -26,21 +26,24 @@ import (
 //
 // What a clone copies and what it shares:
 //
-//   - the inode struct, a directory's entry table and order: copied (the
-//     per-inode clone below, run on first reach);
+//   - the inode struct: copied (the per-inode clone below, run on first
+//     reach);
+//   - a directory's name table (dirTable): shared. A published table
+//     never changes, so the clone's first insert or remove publishes its
+//     own and the image never sees it;
 //   - file data: shared. An image's arrays never change, so the clone is
 //     marked cow and copies its bytes before its first write;
 //   - the attribute snapshot (attrs): shared; it is immutable;
-//   - the dentry snapshot (dmap) and stat snapshot (statc): not shared.
-//     A clone starts cold, so no cache can resolve into another world.
+//   - the stat snapshot (statc): not shared; a clone computes its own.
 //
-// An overlay's directory entries may still point at image inodes: a
-// directory clone copies its entries as they are. Every read of an entry
-// goes through reach, which maps an image inode to the overlay's clone of
-// that number (cloning it on first reach), so the kernel only ever holds
-// inodes of its own filesystem and a hard link is cloned once per ino. A
-// directory clone reaches its parent at once, so ".." and every ancestry
-// walk stay inside the overlay.
+// An overlay's directory entries may therefore name image inodes. Every
+// read of an entry goes through reach, which maps an image inode to the
+// overlay's clone of that number (cloning it on first reach), so the
+// kernel only ever holds inodes of its own filesystem and a hard link is
+// cloned once per ino. The clone index is read without a lock: only the
+// first reach of a number takes ovMu. A directory clone reaches its
+// parent at once, so ".." and every ancestry walk stay inside the
+// overlay.
 //
 // An image frozen from an overlay can hold stale pointers: a directory
 // the overlay never reached still names the older version of a file the
@@ -97,7 +100,7 @@ func (fs *FS) Fork(clock func() time.Time, resolve func(rdev uint32) (Device, bo
 	if clock == nil {
 		clock = fs.clock
 	}
-	child := &FS{dev: fs.dev, clock: clock, img: img, clones: map[uint32]*Inode{}}
+	child := &FS{dev: fs.dev, clock: clock, img: img}
 	for _, rdev := range img.devs {
 		var dev Device
 		if resolve != nil {
@@ -134,13 +137,19 @@ func (fs *FS) freeze() *image {
 		img.devs = append(img.devs, b.rdev)
 	}
 	if fs.img != nil {
-		img.newer = make(map[uint32]*Inode, len(fs.img.newer)+len(fs.clones))
+		img.newer = make(map[uint32]*Inode, len(fs.img.newer))
 		maps.Copy(img.newer, fs.img.newer)
-		maps.Copy(img.newer, fs.clones)
+		if ix := fs.clones.Load(); ix != nil {
+			for i := range ix.c {
+				if c := ix.c[i].Load(); c != nil {
+					img.newer[uint32(i)] = c
+				}
+			}
+		}
 	}
 	fs.layer.Add(1)
 	fs.img = img
-	fs.clones = map[uint32]*Inode{}
+	fs.clones.Store(nil)
 	fs.changed.Store(false)
 	fs.root.Store(fs.reachLocked(img.root))
 	return img
@@ -164,25 +173,70 @@ func (ip *Inode) writable() {
 	}
 }
 
+// cloneIndex maps an image inode number to fs's clone of it. Inode
+// numbers are dense, so the index is a slice by number. It grows by
+// doubling under ovMu and is published whole, so a reader takes no lock:
+// one holding an outgrown index may miss a newer clone, and then takes
+// reach's locked path.
+type cloneIndex struct {
+	c []atomic.Pointer[Inode]
+}
+
+// cloneOf returns fs's clone of image inode number ino, or nil.
+func (fs *FS) cloneOf(ino uint32) *Inode {
+	if ix := fs.clones.Load(); ix != nil && int(ino) < len(ix.c) {
+		return ix.c[ino].Load()
+	}
+	return nil
+}
+
+// addClone records c as fs's clone of its number. Caller holds ovMu.
+func (fs *FS) addClone(c *Inode) {
+	ix := fs.clones.Load()
+	if ix == nil {
+		ix = &cloneIndex{}
+	}
+	if int(c.Ino) >= len(ix.c) {
+		grown := &cloneIndex{c: make([]atomic.Pointer[Inode], max(2*len(ix.c), 8, int(c.Ino)+1))}
+		for i := range ix.c {
+			grown.c[i].Store(ix.c[i].Load())
+		}
+		fs.clones.Store(grown)
+		ix = grown
+	}
+	ix.c[c.Ino].Store(c)
+}
+
 // reach returns fs's own inode for ip, which a directory entry may still
 // give as an image inode: the clone of ip's number, made on first reach.
 func (fs *FS) reach(ip *Inode) *Inode {
 	if ip == nil || fs.owns(ip) {
 		return ip
 	}
+	c, _ := fs.reachImage(ip)
+	return c
+}
+
+// reachImage is reach for an image inode; first reports that this call
+// made the clone. Only a first reach takes ovMu.
+func (fs *FS) reachImage(ip *Inode) (c *Inode, first bool) {
+	if c := fs.cloneOf(ip.Ino); c != nil {
+		return c, false
+	}
 	fs.ovMu.Lock()
 	defer fs.ovMu.Unlock()
-	return fs.reachLocked(ip)
+	first = fs.cloneOf(ip.Ino) == nil
+	return fs.reachLocked(ip), first
 }
 
 // reachLocked is reach with ovMu held.
 func (fs *FS) reachLocked(ip *Inode) *Inode {
-	if c := fs.clones[ip.Ino]; c != nil {
+	if c := fs.cloneOf(ip.Ino); c != nil {
 		return c
 	}
 	src := fs.img.version(ip)
 	c := fs.clone(src)
-	fs.clones[ip.Ino] = c // before the parent: the root is its own parent
+	fs.addClone(c) // before the parent: the root is its own parent
 	if pp := src.parentPtr(); pp != nil && c.IsDir() {
 		c.setParent(fs.reachLocked(pp))
 	}
@@ -195,11 +249,11 @@ func (fs *FS) peek(ip *Inode) *Inode {
 	if ip == nil || fs.owns(ip) {
 		return ip
 	}
-	fs.ovMu.Lock()
-	defer fs.ovMu.Unlock()
-	if c := fs.clones[ip.Ino]; c != nil {
+	if c := fs.cloneOf(ip.Ino); c != nil {
 		return c
 	}
+	fs.ovMu.Lock()
+	defer fs.ovMu.Unlock()
 	return fs.img.version(ip)
 }
 
@@ -226,8 +280,7 @@ func (fs *FS) clone(src *Inode) *Inode {
 	case sys.S_IFREG:
 		c.data, c.cow = src.data, true
 	case sys.S_IFDIR:
-		c.entries = maps.Clone(src.entries)
-		c.order = slices.Clone(src.order)
+		c.tab.Store(src.names())
 	case sys.S_IFCHR:
 		c.dev = src.dev
 		if src.fs != fs {

@@ -238,7 +238,7 @@ func readFuzzPath(fs *FS, p string) string {
 
 // imageHash is the StateHash of an image, read through a fresh overlay.
 func imageHash(img *image) [32]byte {
-	fs := &FS{dev: 1, img: img, clones: map[uint32]*Inode{}}
+	fs := &FS{dev: 1, img: img}
 	fs.ninodes.Store(img.ninodes)
 	fs.root.Store(fs.reachLocked(img.root))
 	return fs.StateHash()

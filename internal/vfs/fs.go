@@ -16,9 +16,9 @@ const MaxSymlinks = 8
 // FS is one in-memory filesystem instance.
 //
 // Locking: there is no filesystem-wide lock. Each inode carries its own
-// read-write mutex; path resolution locks one directory at a time
-// (hand-over-hand without coupling — inodes are never freed, so a stale
-// pointer is safe to lock). Mutations lock the parent directory, then at
+// read-write mutex; path resolution takes none of them (resolve), and
+// inodes are never freed, so a pointer the walk returns is always safe
+// to lock and re-check. Mutations lock the parent directory, then at
 // most one child inode nested inside it. Rename, the only operation that
 // must hold two directories at once, additionally serializes against
 // other renames with renameMu and locks its parents ancestor-first (or
@@ -37,10 +37,7 @@ type FS struct {
 	// deterministic order without deadlocking another rename.
 	renameMu sync.Mutex
 
-	// dcache is the pathname (dentry) cache: the namei fast path. cstats
-	// holds its hit/miss/invalidation counters plus the stat-attribute
-	// cache counters (see cache.go).
-	dcache dcache
+	// cstats counts the walk's components and the stat snapshot's hits.
 	cstats cacheCounters
 
 	// jnl, when non-nil, receives a write-ahead redo record for every
@@ -55,13 +52,14 @@ type FS struct {
 	// Copy-on-reach overlay state (fork.go). layer is bumped by each
 	// freeze, which turns every inode made at an older layer into part of
 	// an image; changed records a mutation since the last freeze. ovMu
-	// guards img, clones and drivers.
+	// guards img and drivers and serializes the making of clones; the
+	// walk reads clones without it.
 	layer   atomic.Uint32
 	changed atomic.Bool
 	ovMu    sync.Mutex
-	img     *image            // the image fs is an overlay on; nil until fs forks or is forked
-	clones  map[uint32]*Inode // image inode number → fs's clone of it
-	drivers []binding         // rdev → this filesystem's driver, for device clones
+	img     *image                     // the image fs is an overlay on; nil until fs forks or is forked
+	clones  atomic.Pointer[cloneIndex] // image inode number → fs's clone of it
+	drivers []binding                  // rdev → this filesystem's driver, for device clones
 }
 
 // New creates an empty filesystem whose timestamps come from clock
@@ -104,7 +102,7 @@ func (fs *FS) newInode(mode uint32, cred Cred) *Inode {
 		Ctime: now,
 	}
 	if ip.typ == sys.S_IFDIR {
-		ip.entries = make(map[string]*Inode)
+		ip.tab.Store(emptyDir)
 	}
 	ip.publishAttrs()
 	fs.ninodes.Add(1)
@@ -157,13 +155,59 @@ func (fs *FS) LookupParentEx(root, start *Inode, path string, cred Cred) (dir *I
 	return dir, name, existing, err
 }
 
-// resolve walks path, locking one directory at a time. With wantParent set
-// it also reports the parent directory and leaf name (which requires the
-// path not to end in "." or ".."). Returns the found inode (nil with
-// ENOENT if the leaf is absent). The result is a snapshot: by the time the
-// caller acts on it, a concurrent rename may have moved things — callers
-// that mutate re-validate under the parent's lock.
-func (fs *FS) resolve(root, start *Inode, path string, cred Cred, follow, wantParent bool) (*Inode, *Inode, string, sys.Errno) {
+// CacheStats is a snapshot of the walk's component counters and the stat
+// snapshot's counters.
+type CacheStats struct {
+	Hits    uint64 // components resolved to an inode the filesystem already owned
+	Misses  uint64 // components that cloned an image inode on its first reach
+	NegHits uint64 // components that were absent
+	AttrHit uint64 // stat served from the generation-checked snapshot
+	AttrMis uint64 // stat recomputed under the inode lock
+}
+
+// cacheCounters holds the FS-wide counters behind CacheStats. The walk
+// adds to them once per resolve, not per component.
+type cacheCounters struct {
+	hits, misses, negHits, attrHit, attrMis atomic.Uint64
+}
+
+// CacheStats returns the counter snapshot.
+func (fs *FS) CacheStats() CacheStats {
+	return CacheStats{
+		Hits:    fs.cstats.hits.Load(),
+		Misses:  fs.cstats.misses.Load(),
+		NegHits: fs.cstats.negHits.Load(),
+		AttrHit: fs.cstats.attrHit.Load(),
+		AttrMis: fs.cstats.attrMis.Load(),
+	}
+}
+
+// count adds one resolve's component counts.
+func (c *cacheCounters) count(hits, misses, negs uint64) {
+	if hits > 0 {
+		c.hits.Add(hits)
+	}
+	if misses > 0 {
+		c.misses.Add(misses)
+	}
+	if negs > 0 {
+		c.negHits.Add(negs)
+	}
+}
+
+// resolve is the pathname walk. It returns the inode path names; with
+// wantParent set it also returns the parent directory and the leaf name,
+// a missing leaf giving ENOENT with both set, and a "." or ".." leaf or a
+// path with no component giving EINVAL.
+//
+// The walk scans path in place and reads each directory's published name
+// table (dirTable) and attribute snapshot, so it takes no lock unless a
+// component names an image inode the filesystem has not yet cloned
+// (reach). It allocates only to splice a symbolic link's target into the
+// path. The result is a snapshot: by the time the caller acts on it, a
+// concurrent rename may have moved things, so every mutator re-checks
+// the name under the parent's lock.
+func (fs *FS) resolve(root, start *Inode, path string, cred Cred, follow, wantParent bool) (ip, parent *Inode, leaf string, err sys.Errno) {
 	if root == nil {
 		root = fs.Root()
 	}
@@ -173,90 +217,95 @@ func (fs *FS) resolve(root, start *Inode, path string, cred Cred, follow, wantPa
 	if len(path) >= sys.PathMax {
 		return nil, nil, "", sys.ENAMETOOLONG
 	}
-	if !wantParent && fs.dcache.enabled() {
-		// Fast path: walk cached components without inode locks or any
-		// allocation. It bails (ok=false) on symlinks and other cases
-		// needing the full walk.
-		if ip, e, ok := fs.lookupFast(root, start, path, cred, follow); ok {
-			if e != sys.OK {
-				return nil, nil, "", e
-			}
-			return ip, nil, "", sys.OK
-		}
-	}
-	parts, absolute, wantDir := SplitPath(path)
+	var found, misses, negs uint64
+	defer func() { fs.cstats.count(found-misses, misses, negs) }()
+	layer := fs.layer.Load() // moves only while fs is quiesced (fork.go)
 	cur := start
-	if absolute || cur == nil {
+	if path[0] == '/' || cur == nil {
 		cur = root
 	}
 	nlinks := 0
-	var parent *Inode
-	var leaf string
+	for i := 0; ; {
+		for i < len(path) && path[i] == '/' {
+			i++
+		}
+		if i == len(path) {
+			break
+		}
+		j := i
+		for j < len(path) && path[j] != '/' {
+			j++
+		}
+		name := path[i:j]
+		// Peek past trailing slashes: the final component is not a
+		// symlink to follow unless follow is set.
+		k := j
+		for k < len(path) && path[k] == '/' {
+			k++
+		}
+		last := k == len(path)
+		i = j
 
-	for i := 0; i < len(parts); i++ {
-		name := parts[i]
 		if len(name) > sys.NameMax {
 			return nil, nil, "", sys.ENAMETOOLONG
 		}
 		if !cur.IsDir() {
 			return nil, nil, "", sys.ENOTDIR
 		}
-		cur.mu.RLock()
-		e := CheckAccess(cred, cur.Mode, cur.UID, cur.GID, sys.X_OK)
-		var next *Inode
-		if e == sys.OK {
-			if name == ".." && cur == root {
-				next = cur // ".." at the (possibly chroot) root stays put
-			} else {
-				next = cur.lookupLocked(name)
-			}
-		}
-		cur.mu.RUnlock()
-		if e != sys.OK {
+		a := cur.attrs.Load()
+		if e := CheckAccess(cred, a.mode, a.uid, a.gid, sys.X_OK); e != sys.OK {
 			return nil, nil, "", e
 		}
-		last := i == len(parts)-1
-		if last && wantParent {
-			if name == "." || name == ".." {
+		next := cur
+		switch name {
+		case ".", "..":
+			// ".." at the (possibly chroot) root stays put. A parent
+			// pointer is always fs's own inode: a directory clone
+			// reaches its parent at once (fork.go).
+			if pp := cur.parentPtr(); name == ".." && cur != root && pp != nil {
+				next = pp
+			}
+			if last && wantParent {
 				return next, nil, "", sys.EINVAL
 			}
-			parent, leaf = cur, name
-		}
-		if next == nil {
-			if last {
+		default:
+			if last && wantParent {
+				parent, leaf = cur, name
+			}
+			if next = cur.names().m[name]; next == nil {
+				negs++
 				return nil, parent, leaf, sys.ENOENT
 			}
-			return nil, nil, "", sys.ENOENT
+			if next.layer != layer || next.fs != fs { // reach, with owns inlined
+				var first bool
+				if next, first = fs.reachImage(next); first {
+					misses++
+				}
+			}
 		}
+		found++
 		if next.IsSymlink() && (!last || follow) {
-			nlinks++
-			if nlinks > MaxSymlinks {
+			if nlinks++; nlinks > MaxSymlinks {
 				return nil, nil, "", sys.ELOOP
 			}
-			target := next.link
-			tparts, tabs, twd := SplitPath(target)
-			if target == "" {
+			if next.link == "" {
 				return nil, nil, "", sys.ENOENT
 			}
-			if twd {
-				wantDir = true
-			}
-			if tabs {
+			if next.link[0] == '/' {
 				cur = root
 			}
-			// Splice the link target in place of this component.
-			rest := append(append([]string{}, tparts...), parts[i+1:]...)
-			parts = rest
-			i = -1
+			// Splice the target in place of this component.
+			path, i = next.link+path[j:], 0
 			continue
 		}
 		cur = next
 	}
-	if wantDir && !cur.IsDir() {
+	// A trailing slash requires the object to be a directory.
+	if n := len(path); n > 1 && path[n-1] == '/' && !cur.IsDir() {
 		return nil, nil, "", sys.ENOTDIR
 	}
-	if len(parts) == 0 && wantParent {
-		// Path was "/" or "." — it has no parent component.
+	if wantParent && parent == nil {
+		// The path was "/" — it has no parent component.
 		return cur, nil, "", sys.EINVAL
 	}
 	return cur, parent, leaf, sys.OK
@@ -323,7 +372,7 @@ func (fs *FS) makeNode(dir *Inode, name string, mode uint32, cred Cred, dev Devi
 	if dir.Nlink == 0 {
 		return nil, sys.ENOENT // directory was removed under us
 	}
-	if dir.lookupLocked(name) != nil {
+	if dir.child(name) != nil {
 		return nil, sys.EEXIST
 	}
 	if e := checkWrite(cred, dir); e != sys.OK {
@@ -371,7 +420,7 @@ func (fs *FS) Link(dir *Inode, name string, target *Inode, cred Cred) sys.Errno 
 	if dir.Nlink == 0 {
 		return sys.ENOENT
 	}
-	if dir.lookupLocked(name) != nil {
+	if dir.child(name) != nil {
 		return sys.EEXIST
 	}
 	if e := checkWrite(cred, dir); e != sys.OK {
@@ -416,7 +465,7 @@ func (fs *FS) Unlink(dir *Inode, name string, cred Cred) sys.Errno {
 	if dir.Nlink == 0 {
 		return sys.ENOENT
 	}
-	victim := dir.lookupLocked(name)
+	victim := dir.child(name)
 	if victim == nil {
 		return sys.ENOENT
 	}
@@ -452,7 +501,7 @@ func (fs *FS) Rmdir(dir *Inode, name string, cred Cred) sys.Errno {
 	if dir.Nlink == 0 {
 		return sys.ENOENT
 	}
-	victim := dir.lookupLocked(name)
+	victim := dir.child(name)
 	if victim == nil {
 		return sys.ENOENT
 	}
@@ -469,7 +518,7 @@ func (fs *FS) Rmdir(dir *Inode, name string, cred Cred) sys.Errno {
 		return e
 	}
 	victim.mu.Lock()
-	if len(victim.entries) != 0 {
+	if len(victim.names().order) != 0 {
 		victim.mu.Unlock()
 		return sys.ENOTEMPTY
 	}
@@ -565,7 +614,7 @@ func (fs *FS) Rename(oldDir *Inode, oldName string, newDir *Inode, newName strin
 		return sys.ENOENT
 	}
 
-	src := oldDir.lookupLocked(oldName)
+	src := oldDir.child(oldName)
 	if src == nil {
 		return sys.ENOENT
 	}
@@ -584,7 +633,7 @@ func (fs *FS) Rename(oldDir *Inode, oldName string, newDir *Inode, newName strin
 	if e := stickyCheck(cred, oldDir, src); e != sys.OK {
 		return e
 	}
-	dst := newDir.lookupLocked(newName)
+	dst := newDir.child(newName)
 	if dst == src {
 		return sys.OK // rename to self is a no-op
 	}
@@ -608,7 +657,7 @@ func (fs *FS) Rename(oldDir *Inode, oldName string, newDir *Inode, newName strin
 	switch {
 	case dst != nil && dst.IsDir():
 		dst.mu.Lock()
-		if len(dst.entries) != 0 {
+		if len(dst.names().order) != 0 {
 			dst.mu.Unlock()
 			return sys.ENOTEMPTY
 		}
@@ -624,7 +673,6 @@ func (fs *FS) Rename(oldDir *Inode, oldName string, newDir *Inode, newName strin
 		dst.setParent(nil)
 		dst.bump()
 		dst.mu.Unlock()
-		newDir.removeLocked(newName)
 		newDir.Nlink--
 		fs.ninodes.Add(-1)
 	case dst != nil:
@@ -634,15 +682,13 @@ func (fs *FS) Rename(oldDir *Inode, oldName string, newDir *Inode, newName strin
 		if e := fs.jlog(rec); e != sys.OK {
 			return e
 		}
-		newDir.removeLocked(newName)
 		fs.drop(dst)
 	default:
 		if e := fs.jlog(rec); e != sys.OK {
 			return e
 		}
 	}
-	oldDir.removeLocked(oldName)
-	newDir.insertLocked(newName, src)
+	moveLocked(oldDir, oldName, newDir, newName, src)
 	if src.IsDir() && oldDir != newDir {
 		oldDir.Nlink--
 		newDir.Nlink++

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"interpose/internal/sys"
@@ -19,13 +20,12 @@ import (
 //     reference it; a directory's equals 2 + its subdirectory count.
 //   - reachability: the live-inode counter equals the number of inodes
 //     reachable from the root (nothing leaked, nothing lost).
-//   - directory structure: the lookup map and the iteration order agree
-//     exactly, and every child directory's ".." points at the directory
-//     that holds it.
-//   - cache coherence: the lock-free attribute snapshot matches the
-//     inode, a current-epoch dentry snapshot holds no entry that
-//     disagrees with the directory, and a current-generation stat
-//     snapshot matches a freshly computed one.
+//   - directory structure: the name table's lookup map and iteration
+//     order agree exactly, and every child directory's ".." points at
+//     the directory that holds it.
+//   - snapshot coherence: the lock-free attribute snapshot matches the
+//     inode, and a current-generation stat snapshot matches a freshly
+//     computed one.
 //
 // Check takes read locks only; run it on a quiesced world.
 func (fs *FS) Check() []string {
@@ -39,7 +39,6 @@ func (fs *FS) Check() []string {
 	subdirs := map[uint32]int{} // subdirectory count per directory
 	reachable := 0
 	var maxIno uint32
-	epoch := fs.dcache.epoch.Load()
 
 	fs.walkTree(func(path string, ip *Inode) {
 		reachable++
@@ -75,12 +74,13 @@ func (fs *FS) Check() []string {
 			return
 		}
 
-		// entries ↔ order agreement.
-		if len(ip.entries) != len(ip.order) {
-			badf("%s: %d map entries but %d ordered names", path, len(ip.entries), len(ip.order))
+		// map ↔ order agreement.
+		t := ip.names()
+		if len(t.m) != len(t.order) {
+			badf("%s: %d map entries but %d ordered names", path, len(t.m), len(t.order))
 		}
-		for _, name := range ip.order {
-			child := fs.peek(ip.entries[name])
+		for _, name := range t.order {
+			child := fs.peek(t.m[name])
 			if child == nil {
 				badf("%s: ordered name %q missing from lookup map", path, name)
 				continue
@@ -90,16 +90,6 @@ func (fs *FS) Check() []string {
 				subdirs[ip.Ino]++
 				if pp := fs.peek(child.parentPtr()); pp != ip {
 					badf("%s/%s: \"..\" does not point at its parent", path, name)
-				}
-			}
-		}
-		// A current-epoch dentry snapshot may be partial but never wrong.
-		// An image directory's snapshot is a dead cache: no walk reads it.
-		if dc := ip.dmap.Load(); dc != nil && dc.epoch == epoch && fs.owns(ip) {
-			for name, cached := range dc.m {
-				if got := fs.peek(ip.entries[name]); got != cached {
-					badf("%s: dentry cache maps %q to inode %v, directory has %v",
-						path, name, inoOf(cached), inoOf(got))
 				}
 			}
 		}
@@ -138,13 +128,6 @@ func (fs *FS) Check() []string {
 	return bad
 }
 
-func inoOf(ip *Inode) any {
-	if ip == nil {
-		return "absent"
-	}
-	return ip.Ino
-}
-
 // StateHash returns a digest of the filesystem's logical durable state:
 // paths, types, permissions, ownership, link counts, symlink targets and
 // file contents — everything crash recovery must preserve. Timestamps
@@ -180,7 +163,7 @@ func (fs *FS) StateHash() [32]byte {
 		case sys.S_IFDIR:
 			// Iteration order is insertion order and may differ between a
 			// live world and its replayed twin; hash sorted names.
-			names := append([]string(nil), ip.order...)
+			names := slices.Clone(ip.names().order)
 			sort.Strings(names)
 			for _, n := range names {
 				h.Write([]byte(n))

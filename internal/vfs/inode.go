@@ -1,6 +1,8 @@
 package vfs
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,10 +50,9 @@ type Inode struct {
 	// copies it out. Guarded by mu.
 	cow bool
 
-	// Directories: lookup map plus stable insertion order for iteration.
-	entries map[string]*Inode
-	order   []string
-	parent  atomic.Pointer[Inode] // ".." for directories
+	// Directories: the name table (see dirTable) and ".." pointer.
+	tab    atomic.Pointer[dirTable]
+	parent atomic.Pointer[Inode]
 
 	dev Device // character devices; immutable
 
@@ -62,8 +63,8 @@ type Inode struct {
 	gen atomic.Uint64
 
 	// attrs is the lock-free access-check snapshot (mode, uid, gid),
-	// republished on chmod/chown. The resolve fast path evaluates
-	// directory execute permission against it without taking mu.
+	// republished on chmod/chown. The pathname walk evaluates directory
+	// execute permission against it without taking mu.
 	attrs atomic.Pointer[attrSnap]
 
 	// statc caches the last computed Stat together with the generation it
@@ -71,17 +72,35 @@ type Inode struct {
 	// unchanged.
 	statc atomic.Pointer[statSnap]
 
-	// dmap is this directory's dentry snapshot (see cache.go): an
-	// immutable name→child map the resolve fast path probes without
-	// taking mu. Nil until the first fill; always nil for non-dirs.
-	dmap atomic.Pointer[dirCache]
-
 	// Advisory flock state. These fields belong to the kernel's global
 	// flock lock, not to mu: they are read and written together with the
 	// descriptor-layer lock bookkeeping.
 	LockEx     bool
 	LockShared int
 }
+
+// dirTable is a directory's name table: the lookup map and the stable
+// insertion order that iteration follows. A published table is never
+// changed. publishLocked, run with the directory's mu held
+// exclusively, publishes a new one, so the pathname walk reads a
+// table without a lock and sees each mutation whole or not at all, and
+// a directory clone shares its image's table until its first mutation
+// (fork.go). Entries of a clone's table may name image inodes, which
+// every read maps through FS.reach.
+type dirTable struct {
+	m     map[string]*Inode
+	order []string
+	// dir is the directory that published the table. Only it appends to
+	// order in place, past the end every older table of its own sees; a
+	// clone sharing the table copies order first.
+	dir *Inode
+}
+
+// emptyDir is the table of every directory that has never held an entry.
+var emptyDir = &dirTable{}
+
+// names returns the directory's entry table (nil for non-directories).
+func (ip *Inode) names() *dirTable { return ip.tab.Load() }
 
 // attrSnap is the atomically published permission snapshot of an inode.
 type attrSnap struct {
@@ -138,7 +157,7 @@ func (ip *Inode) size() uint32 {
 		return uint32(len(ip.link))
 	case sys.S_IFDIR:
 		n := sys.DirentRecLen(".") + sys.DirentRecLen("..")
-		for _, name := range ip.order {
+		for _, name := range ip.names().order {
 			n += sys.DirentRecLen(name)
 		}
 		return uint32(n)
@@ -151,11 +170,9 @@ func (ip *Inode) size() uint32 {
 // lock; the generation check makes a stale snapshot impossible to serve
 // (every stat-visible mutation bumps the generation under the write lock).
 func (ip *Inode) Stat() sys.Stat {
-	if ip.fs.dcache.enabled() {
-		if sc := ip.statc.Load(); sc != nil && sc.gen == ip.gen.Load() {
-			ip.fs.cstats.attrHit.Add(1)
-			return sc.st
-		}
+	if sc := ip.statc.Load(); sc != nil && sc.gen == ip.gen.Load() {
+		ip.fs.cstats.attrHit.Add(1)
+		return sc.st
 	}
 	ip.mu.RLock()
 	st := ip.statLocked()
@@ -350,17 +367,16 @@ func (ip *Inode) Dirents() ([]sys.Dirent, sys.Errno) {
 	if !ip.IsDir() {
 		return nil, sys.ENOTDIR
 	}
-	ip.mu.RLock()
-	defer ip.mu.RUnlock()
-	out := make([]sys.Dirent, 0, len(ip.order)+2)
+	t := ip.names()
+	out := make([]sys.Dirent, 0, len(t.order)+2)
 	out = append(out, sys.Dirent{Ino: ip.Ino, Name: "."})
 	pp := ip.parentPtr()
 	if pp == nil {
 		pp = ip
 	}
 	out = append(out, sys.Dirent{Ino: pp.Ino, Name: ".."})
-	for _, name := range ip.order {
-		out = append(out, sys.Dirent{Ino: ip.entries[name].Ino, Name: name})
+	for _, name := range t.order {
+		out = append(out, sys.Dirent{Ino: t.m[name].Ino, Name: name})
 	}
 	return out, sys.OK
 }
@@ -370,61 +386,59 @@ func (ip *Inode) EntryCount() (int, sys.Errno) {
 	if !ip.IsDir() {
 		return 0, sys.ENOTDIR
 	}
-	ip.mu.RLock()
-	defer ip.mu.RUnlock()
-	return len(ip.order), sys.OK
+	return len(ip.names().order), sys.OK
 }
 
 // directory-entry helpers; callers hold the directory's lock.
 
-// lookupLocked resolves name in the directory, "." and ".." included.
-// A directory's parent pointer is always its own filesystem's inode
-// (fork.go), so only entries need reaching.
-func (ip *Inode) lookupLocked(name string) *Inode {
-	switch name {
-	case ".":
-		return ip
-	case "..":
-		if pp := ip.parentPtr(); pp != nil {
-			return pp
-		}
-		return ip
-	}
-	return ip.child(name)
-}
-
 // child returns the entry name as an inode of ip's own filesystem,
 // cloning it from the image the first time it is reached (nil if absent).
 func (ip *Inode) child(name string) *Inode {
-	return ip.fs.reach(ip.entries[name])
+	return ip.fs.reach(ip.names().m[name])
 }
 
-func (ip *Inode) insertLocked(name string, child *Inode) {
-	ip.entries[name] = child
-	ip.order = append(ip.order, name)
-	now := ip.fs.now()
-	ip.Mtime, ip.Ctime = now, now
-	ip.bump()
-	// Discard any negative dentry for the name just created. Running
-	// under the directory's write lock orders this against concurrent
-	// fills, which hold the read lock.
-	if ip.fs.dcache.invalidate(ip, name) {
-		ip.fs.cstats.invals.Add(1)
+// publishLocked publishes ip's table with the entry drop removed and
+// name bound to child, in one step; an empty drop or name skips that
+// half. A bound name replaces any entry of that name and goes to the end
+// of the order, where an unlink and a create would leave it. Caller
+// holds ip.mu exclusively.
+func (ip *Inode) publishLocked(drop, name string, child *Inode) {
+	old := ip.names()
+	m := make(map[string]*Inode, len(old.m)+1)
+	maps.Copy(m, old.m)
+	order := old.order
+	if old.dir != ip {
+		order = slices.Clip(order)
 	}
-}
-
-func (ip *Inode) removeLocked(name string) {
-	delete(ip.entries, name)
-	for i, n := range ip.order {
-		if n == name {
-			ip.order = append(ip.order[:i], ip.order[i+1:]...)
-			break
+	for _, gone := range [2]string{drop, name} {
+		if _, ok := m[gone]; ok {
+			delete(m, gone)
+			i := slices.Index(order, gone)
+			order = slices.Concat(order[:i], order[i+1:]) // a new array: older tables share this one
 		}
 	}
+	if name != "" {
+		m[name] = child
+		order = append(order, name)
+	}
+	ip.tab.Store(&dirTable{m: m, order: order, dir: ip})
 	now := ip.fs.now()
 	ip.Mtime, ip.Ctime = now, now
 	ip.bump()
-	if ip.fs.dcache.invalidate(ip, name) {
-		ip.fs.cstats.invals.Add(1)
+}
+
+func (ip *Inode) insertLocked(name string, child *Inode) { ip.publishLocked("", name, child) }
+func (ip *Inode) removeLocked(name string)               { ip.publishLocked(name, "", nil) }
+
+// moveLocked publishes the move of src from oldName in oldDir to newName
+// in newDir, replacing any entry of newName. In one directory that is
+// one table; across two, newDir's goes first, so a walk never finds
+// newName missing. Caller holds both directories' locks exclusively.
+func moveLocked(oldDir *Inode, oldName string, newDir *Inode, newName string, src *Inode) {
+	if oldDir == newDir {
+		oldDir.publishLocked(oldName, newName, src)
+		return
 	}
+	newDir.insertLocked(newName, src)
+	oldDir.removeLocked(oldName)
 }

@@ -104,10 +104,8 @@ func TestForkDotDotResolvesToClones(t *testing.T) {
 	if b.parentPtr() != up {
 		t.Fatal("a directory clone's parent pointer is not the parent's clone")
 	}
-	// With the name cache off the locked walk gives the same answer.
-	child.SetNameCache(false)
 	if up2, _ := child.Lookup(b, "../b/..", root0, true); up2 != up {
-		t.Fatal(`locked ".." walk left the child`)
+		t.Fatal(`".." walk through a reached name left the child`)
 	}
 	if r, _ := child.Lookup(up, "../..", root0, true); r != child.Root() {
 		t.Fatal(`".." from the top does not reach the child's root`)
@@ -148,6 +146,55 @@ func TestForkDeviceBinding(t *testing.T) {
 	}
 }
 
+// numClones counts the image inodes fs has cloned.
+func numClones(fs *FS) int {
+	n := 0
+	if ix := fs.clones.Load(); ix != nil {
+		for i := range ix.c {
+			if ix.c[i].Load() != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestForkSharesDirTableUntilMutation: a directory clone shares its
+// image's name table until its first insert or remove; the image, and the
+// parent continuing on its own overlay, never see the child's change.
+func TestForkSharesDirTableUntilMutation(t *testing.T) {
+	fs := build(t)
+	img := mustLookup(t, fs, "/a/b") // an image inode once fs forks
+	tab := img.names()
+	child, err := fs.Fork(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, pb := mustLookup(t, child, "/a/b"), mustLookup(t, fs, "/a/b")
+	if b == img || pb == img || b.names() != tab || pb.names() != tab {
+		t.Fatal("a directory clone does not share its image's table")
+	}
+	if _, e := child.Create(b, "new.txt", 0o644, root0); e != sys.OK {
+		t.Fatal(e)
+	}
+	if b.names() == tab || img.names() != tab || pb.names() != tab {
+		t.Fatal("the first insert did not give the clone a table of its own")
+	}
+	if tab.m["new.txt"] != nil || len(tab.order) != 1 {
+		t.Fatalf("the image's table changed: %v", tab.order)
+	}
+	if _, e := fs.Lookup(fs.Root(), "/a/b/new.txt", root0, true); e != sys.ENOENT {
+		t.Fatalf("the parent sees the child's create: %v", e)
+	}
+	mustLookup(t, child, "/a/b/new.txt")
+	if e := child.Unlink(b, "c.txt", root0); e != sys.OK {
+		t.Fatal(e)
+	}
+	mustLookup(t, fs, "/a/b/c.txt")
+	mustClean(t, "child", child)
+	mustClean(t, "parent", fs)
+}
+
 // TestForkReadThroughClonesNothing: StateHash, Check and WriteSnapshot on
 // a fresh fork agree with the parent and clone nothing past the root.
 func TestForkReadThroughClonesNothing(t *testing.T) {
@@ -172,12 +219,12 @@ func TestForkReadThroughClonesNothing(t *testing.T) {
 	if !bytes.Equal(csnap.Bytes(), snap.Bytes()) {
 		t.Fatal("fork's snapshot differs from its parent's")
 	}
-	if n := len(child.clones); n != 1 {
+	if n := numClones(child); n != 1 {
 		t.Fatalf("read-through cloned %d inodes, want only the root", n)
 	}
 	// The parent reads through its own overlay the same way.
-	if fs.StateHash() != want || len(fs.clones) != 1 {
-		t.Fatalf("parent's read-through moved: %d clones", len(fs.clones))
+	if fs.StateHash() != want || numClones(fs) != 1 {
+		t.Fatalf("parent's read-through moved: %d clones", numClones(fs))
 	}
 }
 

@@ -112,7 +112,7 @@ func (rp *Replayer) create(r *journal.Record) error {
 	}
 	dir.mu.Lock()
 	defer dir.mu.Unlock()
-	if dir.entries[r.Name] != nil || rp.byIno[r.Ino] != nil {
+	if dir.names().m[r.Name] != nil || rp.byIno[r.Ino] != nil {
 		// The name is taken (this create already applied, or newer truth
 		// sits there) or the inode exists elsewhere (created then renamed
 		// away by later records).
@@ -135,7 +135,7 @@ func (rp *Replayer) create(r *journal.Record) error {
 	case sys.S_IFLNK:
 		ip.link = string(r.Data)
 	case sys.S_IFDIR:
-		ip.entries = make(map[string]*Inode)
+		ip.tab.Store(emptyDir)
 		ip.Nlink = 2
 		ip.setParent(dir)
 		dir.Nlink++
@@ -165,7 +165,7 @@ func (rp *Replayer) link(r *journal.Record) error {
 	}
 	dir.mu.Lock()
 	defer dir.mu.Unlock()
-	if dir.entries[r.Name] != nil {
+	if dir.names().m[r.Name] != nil {
 		return rp.skip()
 	}
 	target.mu.Lock()
@@ -251,17 +251,14 @@ func (rp *Replayer) rename(r *journal.Record) error {
 			dst.setParent(nil)
 			dst.bump()
 			dst.mu.Unlock()
-			newDir.removeLocked(r.Name2)
 			newDir.Nlink--
 			rp.fs.ninodes.Add(-1)
 			delete(rp.byIno, dst.Ino)
 		} else {
-			newDir.removeLocked(r.Name2)
 			rp.dropRef(dst)
 		}
 	}
-	oldDir.removeLocked(r.Name)
-	newDir.insertLocked(r.Name2, src)
+	moveLocked(oldDir, r.Name, newDir, r.Name2, src)
 	if src.IsDir() && oldDir != newDir {
 		oldDir.Nlink--
 		newDir.Nlink++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -100,15 +101,9 @@ func (fs *FS) WriteSnapshot(w io.Writer) error {
 		if !ip.IsDir() {
 			return
 		}
-		ip.mu.RLock()
-		names := append([]string(nil), ip.order...)
-		kids := make([]*Inode, len(names))
-		for i, n := range names {
-			kids[i] = ip.entries[n]
-		}
-		ip.mu.RUnlock()
-		for _, c := range kids {
-			walk(fs.peek(c))
+		t := ip.names()
+		for _, n := range t.order {
+			walk(fs.peek(t.m[n]))
 		}
 	}
 	root := fs.Root()
@@ -137,11 +132,12 @@ func (fs *FS) WriteSnapshot(w io.Writer) error {
 			e.s(ip.link)
 		case sys.S_IFDIR:
 			pp := ip.parentPtr()
+			t := ip.names()
 			e.u(uint64(pp.Ino))
-			e.u(uint64(len(ip.order)))
-			for _, name := range ip.order {
+			e.u(uint64(len(t.order)))
+			for _, name := range t.order {
 				e.s(name)
-				e.u(uint64(ip.entries[name].Ino))
+				e.u(uint64(t.m[name].Ino))
 			}
 		}
 		ip.mu.RUnlock()
@@ -222,7 +218,6 @@ func ReadSnapshot(r io.Reader, clock func() time.Time, resolve func(rdev uint32)
 		case sys.S_IFLNK:
 			ip.link = d.s()
 		case sys.S_IFDIR:
-			ip.entries = make(map[string]*Inode)
 			sd := snapDir{ip: ip, parent: uint32(d.u())}
 			nent := d.u()
 			for j := uint64(0); j < nent; j++ {
@@ -262,15 +257,16 @@ func ReadSnapshot(r io.Reader, clock func() time.Time, resolve func(rdev uint32)
 			return nil, fmt.Errorf("vfs: directory %d has unknown parent %d", sd.ip.Ino, sd.parent)
 		}
 		sd.ip.setParent(pp)
+		t := &dirTable{m: make(map[string]*Inode, len(sd.names)), order: sd.names}
 		for i, name := range sd.names {
 			child := byIno[sd.kidInos[i]]
 			if child == nil {
 				return nil, fmt.Errorf("vfs: entry %q in directory %d references unknown inode %d",
 					name, sd.ip.Ino, sd.kidInos[i])
 			}
-			sd.ip.entries[name] = child
-			sd.ip.order = append(sd.ip.order, name)
+			t.m[name] = child
 		}
+		sd.ip.tab.Store(t)
 	}
 
 	root := byIno[rootIno]
@@ -285,9 +281,9 @@ func ReadSnapshot(r io.Reader, clock func() time.Time, resolve func(rdev uint32)
 }
 
 // walkTree visits every reachable inode exactly once (by inode number),
-// parents before children, passing each inode's path. Directory listings
-// are read under the directory's read lock, child names in sorted order
-// for deterministic traversal. It reads through an overlay: an inode not
+// parents before children, passing each inode's path. It reads each
+// directory's published name table, child names in sorted order for
+// deterministic traversal. It reads through an overlay: an inode not
 // yet reached is visited as its image version, and nothing is cloned.
 func (fs *FS) walkTree(visit func(path string, ip *Inode)) {
 	seen := map[uint32]bool{}
@@ -301,17 +297,11 @@ func (fs *FS) walkTree(visit func(path string, ip *Inode)) {
 		if !ip.IsDir() {
 			return
 		}
-		ip.mu.RLock()
-		names := append([]string(nil), ip.order...)
-		ip.mu.RUnlock()
+		t := ip.names()
+		names := slices.Clone(t.order)
 		sort.Strings(names)
 		for _, name := range names {
-			ip.mu.RLock()
-			child := ip.entries[name]
-			ip.mu.RUnlock()
-			if child == nil {
-				continue // raced with remove; quiesced callers never see this
-			}
+			child := t.m[name]
 			p := path + "/" + name
 			if path == "/" {
 				p = "/" + name

@@ -547,9 +547,7 @@ func checkInvariants(t *testing.T, fs *FS) {
 			t.Fatalf("dirents: %v", err)
 		}
 		for _, e := range ents[2:] {
-			dir.mu.RLock()
-			child := dir.entries[e.Name]
-			dir.mu.RUnlock()
+			child := dir.names().m[e.Name]
 			if child == nil {
 				t.Fatalf("listed entry %q missing from map", e.Name)
 			}
@@ -571,9 +569,7 @@ func checkInvariants(t *testing.T, fs *FS) {
 			want = refs + 1
 			ents, _ := ip.Dirents()
 			for _, e := range ents[2:] {
-				ip.mu.RLock()
-				child := ip.entries[e.Name]
-				ip.mu.RUnlock()
+				child := ip.names().m[e.Name]
 				if child.IsDir() {
 					want++
 				}

@@ -124,43 +124,34 @@ func BenchmarkScalability_MakeJ(b *testing.B) {
 	}
 }
 
-// BenchmarkScalability_StatHeavy is the pathname-cache workload: several
-// guest processes stat the same path concurrently, with the VFS
-// name/attribute cache on (the default) and off. One benchmark iteration
-// is one stat call; cache-on resolves it from the sharded dentry cache
-// and lock-free attribute snapshots, cache-off takes the hand-over-hand
-// locked walk every time.
+// BenchmarkScalability_StatHeavy is the pathname-walk workload: several
+// guest processes stat the same path concurrently. One benchmark
+// iteration is one stat call; each resolves through the directories'
+// published name tables and the lock-free attribute snapshots, taking no
+// inode lock.
 func BenchmarkScalability_StatHeavy(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		on   bool
-	}{{"cache-on", true}, {"cache-off", false}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			k := mustWorld(b)
-			k.FS().SetNameCache(cfg.on)
-			jobs := experiments.StatHeavyJobs
-			per := b.N/jobs + 1
-			argv := []string{"bench", "stat", fmt.Sprint(per)}
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for j := 0; j < jobs; j++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					p, err := core.Launch(k, nil, "/bin/bench", argv, nil)
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					st := k.WaitExit(p)
-					if sys.WExitStatus(st) != 0 {
-						b.Errorf("bench stat exited %d", sys.WExitStatus(st))
-					}
-				}()
+	k := mustWorld(b)
+	jobs := experiments.StatHeavyJobs
+	per := b.N/jobs + 1
+	argv := []string{"bench", "stat", fmt.Sprint(per)}
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for j := 0; j < jobs; j++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := core.Launch(k, nil, "/bin/bench", argv, nil)
+			if err != nil {
+				b.Error(err)
+				return
 			}
-			wg.Wait()
-		})
+			st := k.WaitExit(p)
+			if sys.WExitStatus(st) != 0 {
+				b.Errorf("bench stat exited %d", sys.WExitStatus(st))
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 // TestParallelMakeSpeedup asserts the point of the whole exercise: with
