@@ -21,6 +21,7 @@ var (
 		"sup:getpid()/strict",
 		"trace:getpid()/off",
 		"trace:getpid()/sampled",
+		"crash:write4k/on",
 		"worldd:session",
 		"worldd:idle-mem/world",
 		"pool:fork",

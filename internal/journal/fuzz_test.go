@@ -1,7 +1,9 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"reflect"
 	"testing"
@@ -61,6 +63,78 @@ func FuzzScan(f *testing.F) {
 		}
 		if len(again) != len(recs) || (len(recs) > 0 && !reflect.DeepEqual(again, recs)) {
 			t.Fatalf("rescan of the valid prefix: %d records, first scan %d", len(again), len(recs))
+		}
+	})
+}
+
+// FuzzMemStore drives a MemStore and a flat byte-slice model through the
+// same program of appends (empty, small, and up to three group commits
+// long), syncs and freezes, under a capacity limit. After every step the store's size and bytes
+// must equal the model's, and an append must fail with ErrNoSpace
+// exactly when the model overflows the limit. A freeze tears up to a
+// few kilobytes off the tail, so a tear crosses segment boundaries, and
+// must stop at the synced watermark.
+func FuzzMemStore(f *testing.F) {
+	f.Add([]byte{0, 10, 0, 20, 1, 0, 200, 2, 0xff, 0xff}, uint16(0))
+	f.Add([]byte{0, 0, 0, 130, 0, 140, 0, 5, 2, 0x10, 0x30, 0, 9}, uint16(0))
+	f.Add([]byte{0, 150, 1, 0, 160, 0, 3, 0, 170, 2, 0x01, 0x20}, uint16(9000))
+	f.Add([]byte{0, 40, 0, 40, 0, 40, 0, 250, 0, 1}, uint16(100))
+	f.Fuzz(func(t *testing.T, prog []byte, limit uint16) {
+		st := NewMemStore(int64(limit))
+		var model []byte
+		synced, frozen := 0, false
+		next := func() int {
+			if len(prog) == 0 {
+				return 0
+			}
+			b := prog[0]
+			prog = prog[1:]
+			return int(b)
+		}
+		for step := 0; len(prog) > 0; step++ {
+			switch next() % 3 {
+			case 0: // append: a size byte past 128 means up to 12 KB
+				n := next()
+				if n > 128 {
+					n = (n - 128) * 97
+				}
+				p := make([]byte, n)
+				for i := range p {
+					p[i] = byte(step + i)
+				}
+				err := st.Append(p)
+				full := !frozen && limit > 0 && len(model)+n > int(limit)
+				if full != errors.Is(err, ErrNoSpace) || (!full && err != nil) {
+					t.Fatalf("step %d: Append(%d bytes) at size %d, limit %d: %v", step, n, len(model), limit, err)
+				}
+				if !frozen && !full {
+					model = append(model, p...)
+				}
+				// The Writer reuses its group buffer once Append returns.
+				for i := range p {
+					p[i] = 0xee
+				}
+			case 1:
+				if err := st.Sync(); err != nil {
+					t.Fatalf("step %d: Sync: %v", step, err)
+				}
+				if !frozen {
+					synced = len(model)
+				}
+			case 2:
+				torn := next()<<4 | next()>>4
+				st.Freeze(torn)
+				if !frozen {
+					frozen = true
+					model = model[:len(model)-min(torn, len(model)-synced)]
+				}
+			}
+			if got := st.Size(); got != int64(len(model)) {
+				t.Fatalf("step %d: Size %d, model %d", step, got, len(model))
+			}
+			if got := st.Bytes(); !bytes.Equal(got, model) {
+				t.Fatalf("step %d: Bytes differ from the model (%d vs %d bytes)", step, len(got), len(model))
+			}
 		}
 	})
 }

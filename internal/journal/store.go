@@ -25,9 +25,15 @@ type Store interface {
 // the machine dying — the store keeps what it has (optionally tearing
 // bytes off the tail, a half-written final sector) and silently ignores
 // every later append, exactly as a dead disk would.
+//
+// The stored bytes are a list of segments, one exact-size segment per
+// Append (per group commit). A byte is copied in once and never moved
+// again, so a write-heavy journal costs its own size, not the doubling
+// copies of one growing buffer.
 type MemStore struct {
 	mu     sync.Mutex
-	buf    []byte
+	segs   [][]byte
+	size   int64 // total bytes over segs
 	limit  int64 // 0 = unlimited
 	synced int64 // durable watermark: Freeze never tears below it
 	frozen bool
@@ -44,21 +50,14 @@ func NewMemStore(limit int64) *MemStore {
 func (m *MemStore) Append(p []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.frozen {
+	if m.frozen || len(p) == 0 {
 		return nil
 	}
-	if m.limit > 0 && int64(len(m.buf))+int64(len(p)) > m.limit {
+	if m.limit > 0 && m.size+int64(len(p)) > m.limit {
 		return ErrNoSpace
 	}
-	// Grow by doubling: the built-in append's growth factor shrinks for
-	// large slices, and a journal under a write-heavy workload would spend
-	// most of its time in growslice memmoves.
-	if cap(m.buf)-len(m.buf) < len(p) {
-		nb := make([]byte, len(m.buf), 2*cap(m.buf)+len(p))
-		copy(nb, m.buf)
-		m.buf = nb
-	}
-	m.buf = append(m.buf, p...)
+	m.segs = append(m.segs, append([]byte(nil), p...))
+	m.size += int64(len(p))
 	return nil
 }
 
@@ -66,7 +65,7 @@ func (m *MemStore) Append(p []byte) error {
 func (m *MemStore) Size() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return int64(len(m.buf))
+	return m.size
 }
 
 // Sync marks the store's current contents durable: a later Freeze may
@@ -75,7 +74,7 @@ func (m *MemStore) Size() int64 {
 func (m *MemStore) Sync() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.synced = int64(len(m.buf))
+	m.synced = m.size
 	return nil
 }
 
@@ -83,7 +82,8 @@ func (m *MemStore) Sync() error {
 // (minus torn trailing bytes) become immutable, and later appends are
 // silently discarded. Tearing is clamped to the synced watermark —
 // a half-written final sector can only damage bytes no fsync barrier
-// has promised durable. Idempotent — only the first call tears.
+// has promised durable. A tear may span several trailing segments.
+// Idempotent — only the first call tears.
 func (m *MemStore) Freeze(torn int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -91,13 +91,16 @@ func (m *MemStore) Freeze(torn int) {
 		return
 	}
 	m.frozen = true
-	if torn > 0 {
-		if max := int64(len(m.buf)) - m.synced; int64(torn) > max {
-			torn = int(max)
+	cut := min(int64(max(torn, 0)), m.size-m.synced)
+	m.size -= cut
+	for cut > 0 {
+		last := m.segs[len(m.segs)-1]
+		if int64(len(last)) > cut {
+			m.segs[len(m.segs)-1] = last[:int64(len(last))-cut]
+			break
 		}
-		if torn > 0 {
-			m.buf = m.buf[:len(m.buf)-torn]
-		}
+		m.segs = m.segs[:len(m.segs)-1]
+		cut -= int64(len(last))
 	}
 }
 
@@ -105,7 +108,11 @@ func (m *MemStore) Freeze(torn int) {
 func (m *MemStore) Bytes() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]byte(nil), m.buf...)
+	out := make([]byte, 0, m.size)
+	for _, seg := range m.segs {
+		out = append(out, seg...)
+	}
+	return out
 }
 
 // FileStore is a host-file-backed Store, used by agentrun -journal.

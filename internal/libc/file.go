@@ -394,27 +394,59 @@ func (t *T) ReadDir(path string) ([]string, sys.Errno) {
 	}
 }
 
-// ReadFile reads the entire file at path.
+// readFileStage is how many transfer buffers ReadFile stages a file in.
+const readFileStage = 8
+
+// ReadFile reads the entire file at path. Each read asks for one whole
+// transfer buffer, as a read loop over a fixed buffer would, and lands in
+// its own pooled buffer. A file that reaches end of file within the
+// staged buffers — the read that sees end of file takes one too, so up
+// to readFileStage-1 full buffers — is copied once into a result of
+// exactly its length, its only allocation. A longer file spills into a
+// growing result.
 func (t *T) ReadFile(path string) ([]byte, sys.Errno) {
 	fd, err := t.Open(path, sys.O_RDONLY, 0)
 	if err != sys.OK {
 		return nil, err
 	}
 	defer t.Close(fd)
-	var out []byte
-	bp := getXfer()
-	defer putXfer(bp)
-	buf := *bp
-	for {
+	var pooled [readFileStage]*[]byte
+	var stage [readFileStage][]byte // the bytes each staged read returned
+	used, total, eof := 0, 0, false
+	defer func() {
+		for _, bp := range pooled[:used] {
+			putXfer(bp)
+		}
+	}()
+	for used < readFileStage && !eof {
+		bp := getXfer()
+		pooled[used] = bp
+		used++
+		n, err := t.ReadRetry(fd, *bp)
+		if err != sys.OK {
+			return nil, err
+		}
+		stage[used-1] = (*bp)[:n]
+		total += n
+		eof = n == 0
+	}
+	size := total
+	if !eof {
+		size *= 2
+	}
+	out := make([]byte, 0, size)
+	for _, b := range stage[:used] {
+		out = append(out, b...)
+	}
+	for buf := *pooled[0]; !eof; {
 		n, err := t.ReadRetry(fd, buf)
 		if err != sys.OK {
 			return nil, err
 		}
-		if n == 0 {
-			return out, sys.OK
-		}
 		out = append(out, buf[:n]...)
+		eof = n == 0
 	}
+	return out, sys.OK
 }
 
 // WriteFile creates path with the given contents and mode.

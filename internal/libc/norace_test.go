@@ -1,0 +1,5 @@
+//go:build !race
+
+package libc_test
+
+const raceEnabled = false
