@@ -68,10 +68,11 @@
 // filesystem mutation is logged before it is applied, so an injected
 // crash (-inject '...write=crash@p' or torn:N) leaves a replayable
 // record of everything that was durable. -checkpoint writes the final
-// world to a file after a clean run; -restore boots from such a file
-// instead of a fresh world. Combining -restore with -journal first
-// replays the journal's surviving suffix on top of the checkpoint
-// (discarding a torn tail), then continues journaling to the same file:
+// world to a file after a clean run; -restore loads such a file
+// (world.Load) and runs in a fork of it instead of a fresh world.
+// Combining -restore with -journal first replays the journal's surviving
+// suffix on top of the checkpoint (discarding a torn tail), then
+// continues journaling to the same file:
 //
 //	agentrun -journal w.jnl -inject 'seed=7,write=torn:16@0.001' -- /bin/sh -c 'cd /src; mk all'
 //	agentrun -journal w.jnl -restore w.ckpt -- /bin/ls /src   # recover, then keep going
@@ -142,14 +143,12 @@ func main() {
 	}
 
 	// The flags are a world.Spec in command-line clothing. The lifecycle
-	// layer owns the sequencing (restore vs fresh boot, journal replay
-	// with torn-tail cutting, the post-recovery fsck gate, injector
-	// crash hooks freezing the store); this program is a pure parser
-	// plus end-of-run reporting.
+	// layer owns the sequencing (journal replay with torn-tail cutting,
+	// the fsck gates, injector crash hooks freezing the store); this
+	// program is a pure parser plus end-of-run reporting.
 	spec := apps.Spec()
 	spec.Name = "agentrun"
 	spec.Agents = specs
-	spec.RestorePath = *restorePath
 	spec.JournalPath = *journalPath
 	spec.Inject = *inject
 	spec.Telemetry = true
@@ -179,7 +178,7 @@ func main() {
 		}
 	}
 
-	w, err := world.Boot(spec)
+	w, err := build(spec, *restorePath)
 	if err != nil {
 		fatal(err)
 	}
@@ -270,6 +269,24 @@ func main() {
 		snap.WriteFlight(os.Stderr)
 	}
 	os.Exit(res.Status)
+}
+
+// build boots spec, or, given a checkpoint file, loads it into a template
+// and forks spec's world from that.
+func build(spec world.Spec, restorePath string) (*world.World, error) {
+	if restorePath == "" {
+		return world.Boot(spec)
+	}
+	f, err := os.Open(restorePath)
+	if err != nil {
+		return nil, fmt.Errorf("world: restore: %w", err)
+	}
+	tmpl, err := world.Load(restorePath, spec.Register, f)
+	f.Close()
+	if err != nil {
+		return nil, err
+	}
+	return world.Fork(tmpl, spec)
 }
 
 // writeDeathArtifacts writes the flight ring and span trace as files in

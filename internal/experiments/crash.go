@@ -16,9 +16,11 @@ import (
 
 // The crash-consistency cost table ("crash"): what the write-ahead
 // journal costs on the write path, and what a world checkpoint buys over
-// a full boot. Two relations gate it: the journal-on make workload
-// within 15% of journal-off, and restoring a checkpoint cheaper than
-// booting the same world from scratch.
+// a full boot. Three relations gate it: the journal-on make workload
+// within 15% of journal-off; restoring a checkpoint cheaper than booting
+// the same world from scratch; and a second restore of one checkpoint —
+// a world.Fork of the template world.Load decoded it into once — at most
+// a quarter of a first restore, which decodes the whole stream.
 //
 // The write4k rows are the raw per-write floor: an uninterposed 4 KB
 // in-memory overwrite is a few hundred nanoseconds of memmove, so the
@@ -34,6 +36,8 @@ var crashTable = Table{Name: "crash", run: runCrash, Guards: []string{"write4k/o
 		Why: "journal-on write-path overhead must stay within 15% on the write-heavy make workload"},
 	{Left: "restore", Right: "boot", Factor: 1.0,
 		Why: "restoring a checkpoint must beat a full boot"},
+	{Left: "restore/again", Right: "restore", Factor: 0.25,
+		Why: "a checkpoint is decoded once: a further restore of it is one fork"},
 }}
 
 // write4kOps is the per-measurement repetition count of the write rows.
@@ -41,6 +45,10 @@ const write4kOps = 2000
 
 // crashPrograms is the make-workload size of the make/off and make/on rows.
 const crashPrograms = 4
+
+// crashForks is the fork count each restore/again measurement averages:
+// one fork is a few µs, near the timer's and a GC assist's noise.
+const crashForks = 50
 
 // crashWorld boots the world the checkpoint rows snapshot: a full
 // application world carrying the mk workload's source tree, so "boot"
@@ -119,11 +127,23 @@ func runCrash(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 	}
 	images := image.NewRegistry()
 	apps.Register(images)
+	tmpl, err := world.Load("crash", apps.Register, bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		return nil, err
+	}
+	defer tmpl.Close()
 	ops := map[string]func() error{
 		"checkpoint": func() error { return k.Checkpoint(io.Discard) },
 		"restore": func() error {
 			_, err := kernel.Restore(images, bytes.NewReader(snap.Bytes()))
 			return err
+		},
+		"restore/again": func() error {
+			w, err := world.Fork(tmpl, world.Spec{Name: "restore/again"})
+			if err != nil {
+				return err
+			}
+			return w.Close()
 		},
 		"boot": func() error {
 			_, err := crashWorld()
@@ -133,9 +153,13 @@ func runCrash(w io.Writer, runs, _ int) ([]BenchEntry, error) {
 	// Each op gets its own loop rather than one interleaved loop, so
 	// that every row keeps its working set warm across its rounds.
 	es := append(writes, makes...)
-	for _, row := range []string{"checkpoint", "restore", "boot"} {
+	for _, row := range []string{"checkpoint", "restore", "restore/again", "boot"} {
 		r, err := interleavedMean(runs, []string{row}, func(string) (time.Duration, error) {
-			return perOp(1, ops[row])
+			n := 1
+			if row == "restore/again" {
+				n = crashForks
+			}
+			return perOp(n, ops[row])
 		})
 		if err != nil {
 			return nil, err

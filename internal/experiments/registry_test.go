@@ -34,6 +34,7 @@ var (
 	}{
 		{"crash:make/on", "crash:make/off", 1.15},
 		{"crash:restore", "crash:boot", 1.0},
+		{"crash:restore/again", "crash:restore", 0.25},
 		{"pool:fork/large", "pool:fork", 2.0},
 		{"pool:fork/wide", "pool:fork", 2.0},
 		{"resil:recover/fork", "resil:boot", 1.0},

@@ -141,6 +141,12 @@ func appendPayload(b []byte, r *Record) []byte {
 	return b
 }
 
+// maxFrame bounds the length of r's frame: the header, the longest
+// varint for each of its 14 integers and length prefixes, and its bytes.
+func maxFrame(r *Record) int {
+	return frameHeader + 14*binary.MaxVarintLen64 + len(r.Name) + len(r.Name2) + len(r.Data)
+}
+
 // AppendFrame encodes the record as a complete frame onto b.
 func AppendFrame(b []byte, r *Record) []byte {
 	start := len(b)

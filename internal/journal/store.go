@@ -14,7 +14,7 @@ var ErrNoSpace = errors.New("journal: store full")
 
 // Store is the persistence layer under a Writer: an append-only byte
 // device. Append is called with fully framed record bytes (one group
-// commit per call).
+// commit per call) and must not keep p: writers recycle the buffer.
 type Store interface {
 	Append(p []byte) error
 	Size() int64

@@ -23,7 +23,7 @@ const DefaultGroupBytes = 4096
 type Writer struct {
 	mu    sync.Mutex
 	st    Store
-	buf   []byte
+	buf   *groupBuf // pending frames; nil while none are pending
 	group int
 	seq   uint64 // last assigned sequence number
 	err   error  // latched store failure
@@ -63,9 +63,12 @@ func (w *Writer) Append(r *Record) error {
 	}
 	w.seq++
 	r.Seq = w.seq
-	w.buf = AppendFrame(w.buf, r)
+	if w.buf == nil {
+		w.buf = takeGroupBuf(w.group + maxFrame(r))
+	}
+	w.buf.b = AppendFrame(w.buf.b, r)
 	w.appended++
-	if len(w.buf) >= w.group {
+	if len(w.buf.b) >= w.group {
 		return w.flushLocked()
 	}
 	return nil
@@ -94,18 +97,42 @@ func (w *Writer) Commit() error {
 }
 
 func (w *Writer) flushLocked() error {
-	if len(w.buf) == 0 {
+	if w.buf == nil {
 		return nil
 	}
-	if err := w.st.Append(w.buf); err != nil {
+	if err := w.st.Append(w.buf.b); err != nil {
 		// Latch: the failed group's records were never durable, and no
 		// later record may skip past them.
 		w.err = fmt.Errorf("journal: append failed: %w", err)
 		return w.err
 	}
-	w.buf = w.buf[:0]
 	w.flushes++
+	if cap(w.buf.b) <= maxPooledGroup {
+		w.buf.b = w.buf.b[:0]
+		groupBufs.Put(w.buf)
+	}
+	w.buf = nil
 	return nil
+}
+
+// groupBuf holds a writer's pending frames. Writers recycle them through
+// groupBufs and hold one only while records are pending, so a world that
+// never writes pays nothing for it, and a new world's first group reuses
+// a buffer an earlier world already grew to the frames it wrote.
+type groupBuf struct{ b []byte }
+
+var groupBufs sync.Pool
+
+// maxPooledGroup caps the buffers kept for reuse, so that one huge write
+// does not pin its buffer.
+const maxPooledGroup = 64 << 10
+
+// takeGroupBuf returns a recycled buffer, or a new one of capacity size.
+func takeGroupBuf(size int) *groupBuf {
+	if g, ok := groupBufs.Get().(*groupBuf); ok {
+		return g
+	}
+	return &groupBuf{make([]byte, 0, size)}
 }
 
 // Err returns the latched store failure, or nil while healthy.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,11 +16,12 @@ import (
 // whole filesystem (program binaries included, since executables are
 // ordinary files holding registered image headers) plus the list of
 // image names the world depends on — into one self-validating stream.
-// Restore builds a kernel shell around the reconstructed filesystem,
-// resolving device nodes against the fresh driver table and verifying
-// every required image is registered. Composed with the write-ahead
-// journal this is crash recovery: restore the last checkpoint (or boot
-// fresh), then ReplayJournal the suffix the journal kept.
+// Restore verifies every required image is registered and builds a
+// kernel shell around a fork of the reconstructed filesystem, the same
+// shell Fork builds around a live world's (fork.go). Composed with the
+// write-ahead journal this is crash recovery: restore the last
+// checkpoint (or boot fresh), then ReplayJournal the suffix the journal
+// kept.
 
 // ckptMagic heads every checkpoint stream.
 const ckptMagic = "INTERPOSE-CKPT1\n"
@@ -46,61 +48,39 @@ func (k *Kernel) Checkpoint(w io.Writer) error {
 
 // Restore reconstructs a checkpointed world against the given image
 // registry, which must provide every image name the checkpoint recorded.
+// It reads the stream once and forks the decoded filesystem the way Fork
+// forks a live world's, so its device nodes bind to the new kernel's
+// drivers there and nowhere else.
 func Restore(images *image.Registry, r io.Reader) (*Kernel, error) {
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, fmt.Errorf("kernel: checkpoint header: %w", err)
+	var data bytes.Buffer
+	if _, err := io.Copy(&data, r); err != nil {
+		return nil, fmt.Errorf("kernel: checkpoint: %w", err)
 	}
-	if string(magic) != ckptMagic {
+	p, ok := bytes.CutPrefix(data.Bytes(), []byte(ckptMagic))
+	if !ok {
 		return nil, fmt.Errorf("kernel: not a checkpoint (bad magic)")
 	}
-	br := byteReaderFrom(r)
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("kernel: checkpoint image list: %w", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		ln, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("kernel: checkpoint image list: %w", err)
+	n, w := binary.Uvarint(p)
+	for ; w > 0 && n > 0; n-- {
+		p = p[w:]
+		var ln uint64
+		if ln, w = binary.Uvarint(p); w <= 0 || ln > uint64(len(p)-w) {
+			break
 		}
-		name := make([]byte, ln)
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, fmt.Errorf("kernel: checkpoint image list: %w", err)
-		}
-		if _, ok := images.Lookup(string(name)); !ok {
+		name := string(p[w : w+int(ln)])
+		if _, ok := images.Lookup(name); !ok {
 			return nil, fmt.Errorf("kernel: checkpoint needs unregistered image %q", name)
 		}
+		w += int(ln)
 	}
-
-	k := newKernel(images)
-	fs, err := vfs.ReadSnapshot(br, k.Now, func(rdev uint32) (vfs.Device, bool) {
-		d := k.lookupDevice(rdev)
-		return d, d != nil
-	})
+	if w <= 0 || n > 0 {
+		return nil, fmt.Errorf("kernel: checkpoint image list truncated")
+	}
+	fs, err := vfs.ReadSnapshot(bytes.NewReader(p[w:]))
 	if err != nil {
 		return nil, err
 	}
-	k.fs = fs
-	return k, nil
-}
-
-// byteReaderFrom adapts r for binary.ReadUvarint without buffering ahead
-// (the snapshot reader must see the stream exactly where we left it).
-func byteReaderFrom(r io.Reader) *oneByteReader {
-	if br, ok := r.(*oneByteReader); ok {
-		return br
-	}
-	return &oneByteReader{r: r}
-}
-
-type oneByteReader struct{ r io.Reader }
-
-func (o *oneByteReader) Read(p []byte) (int, error) { return o.r.Read(p) }
-func (o *oneByteReader) ReadByte() (byte, error) {
-	var b [1]byte
-	_, err := io.ReadFull(o.r, b[:])
-	return b[0], err
+	return forkShell(images, fs)
 }
 
 // ReplayJournal scans raw journal bytes and replays them onto this
@@ -111,10 +91,7 @@ func (o *oneByteReader) ReadByte() (byte, error) {
 // and is returned for reporting, not as a failure.
 func (k *Kernel) ReplayJournal(data []byte) (applied, skipped int, torn *journal.Torn, err error) {
 	recs, torn := journal.Scan(data)
-	rp := vfs.NewReplayer(k.fs, func(rdev uint32) (vfs.Device, bool) {
-		d := k.lookupDevice(rdev)
-		return d, d != nil
-	})
+	rp := vfs.NewReplayer(k.fs, k.lookupDevice)
 	if err := rp.ReplayAll(recs); err != nil {
 		return 0, 0, torn, err
 	}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"interpose/internal/image"
 	"interpose/internal/vfs"
 )
 
@@ -11,24 +12,31 @@ import (
 // on it, so its cost does not grow with the tree: the child clones an
 // inode only when one of its processes reaches it (vfs/fork.go).
 //
-// Device inodes in the image are bound by rdev to the child's own driver
-// table, exactly as Restore does: a clone that kept the parent's ttyDev
-// would write its console output into the parent world. The parent must
-// be quiesced (no running processes, journal committed); it keeps running
-// afterwards on its own overlay of the same image.
+// The parent must be quiesced (no running processes, journal
+// committed); it keeps running afterwards on its own overlay of the
+// same image.
 func Fork(parent *Kernel) (*Kernel, error) {
-	k := newKernel(parent.images)
+	k, err := forkShell(parent.images, parent.fs)
+	if err != nil {
+		return nil, err
+	}
 	parent.pmu.Lock()
 	k.hostname = parent.hostname
 	parent.pmu.Unlock()
 	storeInt64((*int64)(&k.timeOffset), loadInt64((*int64)(&parent.timeOffset)))
-	fs, err := parent.fs.Fork(k.Now, func(rdev uint32) (vfs.Device, bool) {
-		d := k.lookupDevice(rdev)
-		return d, d != nil
-	})
+	return k, nil
+}
+
+// forkShell builds a kernel shell around a fork of fs. Fork and Restore
+// both build a kernel this way. The fork binds fs's device inodes by
+// rdev to the shell's own drivers: a clone that kept another world's
+// ttyDev would write its console output into that world.
+func forkShell(images *image.Registry, fs *vfs.FS) (*Kernel, error) {
+	k := newKernel(images)
+	child, err := fs.Fork(k.Now, k.lookupDevice)
 	if err != nil {
 		return nil, err
 	}
-	k.fs = fs
+	k.fs = child
 	return k, nil
 }

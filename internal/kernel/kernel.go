@@ -132,8 +132,8 @@ func New(images *image.Registry) *Kernel {
 }
 
 // newKernel builds a kernel shell — process table, console, device
-// drivers — without a filesystem. New adds an empty tree; Restore
-// (checkpoint.go) adds one reconstructed from a snapshot.
+// drivers — without a filesystem. New adds an empty tree; forkShell
+// (fork.go) adds a fork of a live or a decoded one.
 func newKernel(images *image.Registry) *Kernel {
 	k := &Kernel{
 		images:   images,
@@ -254,12 +254,13 @@ func (k *Kernel) SetInjector(in Injector) {
 
 // lookupDevice finds the driver registered for a device number. The
 // device table is immutable after boot, so no lock is needed.
-func (k *Kernel) lookupDevice(rdev uint32) vfs.Device {
-	return k.devices[rdev]
+func (k *Kernel) lookupDevice(rdev uint32) (vfs.Device, bool) {
+	d, ok := k.devices[rdev]
+	return d, ok
 }
 
 // makeDevices builds the driver table. It runs before the filesystem
-// exists so Restore can resolve snapshot device nodes against it.
+// exists so a fork can bind its device nodes against it.
 func (k *Kernel) makeDevices() {
 	tty := &ttyDev{k: k}
 	k.devices[makeRdev(1, 3)] = nullDev{}

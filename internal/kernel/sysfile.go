@@ -794,8 +794,8 @@ func (k *Kernel) sysMknod(p *Proc, a sys.Args) (sys.Retval, sys.Errno) {
 	case existing != nil:
 		return sys.Retval{}, sys.EEXIST
 	}
-	dev := k.lookupDevice(rdev)
-	if dev == nil {
+	dev, ok := k.lookupDevice(rdev)
+	if !ok {
 		return sys.Retval{}, sys.ENXIO
 	}
 	_, err = k.fs.MkDev(dir, name, mode&0o7777, rdev, dev, p.cred())

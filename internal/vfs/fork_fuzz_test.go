@@ -143,7 +143,7 @@ func roundTrip(fs *FS) (*FS, error) {
 	if err := fs.WriteSnapshot(&buf); err != nil {
 		return nil, err
 	}
-	return ReadSnapshot(&buf, nil, nil)
+	return ReadSnapshot(&buf)
 }
 
 // applyFuzzOp runs one decoded operation and describes its result.

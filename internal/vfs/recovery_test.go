@@ -78,7 +78,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := fs.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), nil, nil)
+	got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(data)-1] ^= 0xff
-	if _, err := ReadSnapshot(bytes.NewReader(data), nil, nil); err == nil {
+	if _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
 		t.Fatal("corrupted snapshot accepted")
 	}
 }
@@ -254,7 +254,7 @@ func TestReplayOverMidJournalSnapshot(t *testing.T) {
 	g.WriteAt([]byte("second half"), 0, 0)
 	mustOKW(t, w)
 
-	restored, err := ReadSnapshot(bytes.NewReader(snap.Bytes()), nil, nil)
+	restored, err := ReadSnapshot(bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -22,8 +23,8 @@ import (
 // The format is a CRC-guarded payload of varint-encoded inode records in
 // two passes: record everything keyed by inode number, then wire
 // directory entries and parents by number. Device inodes serialize their
-// rdev only; the reader resolves rdev back to a live Device vector
-// through a caller-supplied table (the kernel owns the drivers).
+// rdev only and come back unbound: the kernel owns the drivers, and Fork
+// is the one place an rdev is bound to one (fork.go).
 
 const snapMagic = "IVFSNAP1"
 
@@ -82,6 +83,20 @@ func (d *snapDec) b() []byte {
 }
 
 func (d *snapDec) s() string { return string(d.b()) }
+
+// n reads a count of records that each take at least one more byte, and
+// fails it if fewer bytes remain: no count allocates or loops past the
+// payload it came in.
+func (d *snapDec) n() uint64 {
+	n := d.u()
+	if d.err == nil && n > uint64(len(d.buf)) {
+		d.err = fmt.Errorf("vfs: snapshot count %d exceeds its %d remaining bytes", n, len(d.buf))
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
 
 // WriteSnapshot serializes the filesystem to w. The world must be
 // quiesced (no running mutators); the walk takes each inode's read lock
@@ -163,10 +178,11 @@ type snapDir struct {
 }
 
 // ReadSnapshot reconstructs a filesystem from a snapshot produced by
-// WriteSnapshot. clock supplies subsequent timestamps (time.Now when
-// nil); resolve maps a device inode's rdev back to its driver and may be
-// nil when the snapshot holds no device nodes.
-func ReadSnapshot(r io.Reader, clock func() time.Time, resolve func(rdev uint32) (Device, bool)) (*FS, error) {
+// WriteSnapshot. Its device nodes are unbound: a Fork binds them to the
+// child world's drivers, and fails on an rdev the child has no driver
+// for. Every length and count in the stream is checked against the bytes
+// that remain before anything is allocated for it.
+func ReadSnapshot(r io.Reader) (*FS, error) {
 	var hdr [len(snapMagic) + 8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("vfs: snapshot header: %w", err)
@@ -176,23 +192,29 @@ func ReadSnapshot(r io.Reader, clock func() time.Time, resolve func(rdev uint32)
 	}
 	size := binary.LittleEndian.Uint32(hdr[len(snapMagic):])
 	want := binary.LittleEndian.Uint32(hdr[len(snapMagic)+4:])
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Read at most size bytes into one array sized up front, but size it
+	// for at most 1 MiB: past that, a false size costs only what the
+	// stream holds.
+	var buf bytes.Buffer
+	buf.Grow(int(min(size, 1<<20)) + bytes.MinRead)
+	n, err := buf.ReadFrom(io.LimitReader(r, int64(size)))
+	if err == nil && n != int64(size) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("vfs: snapshot payload: %w", err)
 	}
+	payload := buf.Bytes()
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("vfs: snapshot checksum mismatch (%08x != %08x)", got, want)
 	}
 
-	if clock == nil {
-		clock = time.Now
-	}
-	fs := &FS{dev: 1, clock: clock}
+	fs := &FS{dev: 1, clock: time.Now}
 	d := &snapDec{buf: payload}
 	rootIno := uint32(d.u())
 	nextIno := uint32(d.u())
 	jnlSeq := d.u()
-	count := d.u()
+	count := d.n()
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -219,29 +241,23 @@ func ReadSnapshot(r io.Reader, clock func() time.Time, resolve func(rdev uint32)
 			ip.link = d.s()
 		case sys.S_IFDIR:
 			sd := snapDir{ip: ip, parent: uint32(d.u())}
-			nent := d.u()
-			for j := uint64(0); j < nent; j++ {
+			nent := d.n()
+			for j := uint64(0); j < nent && d.err == nil; j++ {
 				sd.names = append(sd.names, d.s())
 				sd.kidInos = append(sd.kidInos, uint32(d.u()))
 			}
 			dirs = append(dirs, sd)
 		case sys.S_IFCHR:
-			if resolve != nil {
-				if dev, ok := resolve(ip.Rdev); ok {
-					ip.dev = dev
-				}
-			}
-			if ip.dev == nil {
-				return nil, fmt.Errorf("vfs: snapshot device %d:%d has no driver",
-					ip.Rdev>>8, ip.Rdev&0xff)
-			}
-			fs.bind(ip.Rdev, ip.dev)
+			fs.bind(ip.Rdev, nil)
 		}
 		if d.err != nil {
 			return nil, d.err
 		}
 		if byIno[ip.Ino] != nil {
 			return nil, fmt.Errorf("vfs: snapshot duplicates inode %d", ip.Ino)
+		}
+		if ip.Ino >= nextIno {
+			return nil, fmt.Errorf("vfs: snapshot inode %d at or past the allocator's %d", ip.Ino, nextIno)
 		}
 		ip.publishAttrs()
 		byIno[ip.Ino] = ip

@@ -84,15 +84,6 @@ func TestForkDeclaredFacilities(t *testing.T) {
 	}
 }
 
-func TestForkRefusesRestore(t *testing.T) {
-	tmpl := boot(t, forkSpec())
-	spec := apps.Spec()
-	spec.RestorePath = "/nonexistent.ckpt"
-	if _, err := world.Fork(tmpl, spec); err == nil {
-		t.Fatal("fork with a restore spec succeeded")
-	}
-}
-
 func TestForkClosedParent(t *testing.T) {
 	tmpl, err := world.Boot(forkSpec())
 	if err != nil {

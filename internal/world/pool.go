@@ -12,11 +12,8 @@ type Pool struct {
 
 // NewPool boots a bare template from spec's Register and Setup; target
 // is ignored. A shim for the benchmark's probes, removed at the next
-// benchmark change. Restore specs and file journals are refused.
+// benchmark change. File journals are refused.
 func NewPool(spec Spec, target int) (*Pool, error) {
-	if spec.RestorePath != "" || spec.RestoreFrom != nil {
-		return nil, fmt.Errorf("world: pool %q: cannot pool a restore spec", spec.Name)
-	}
 	if spec.JournalPath != "" {
 		return nil, fmt.Errorf("world: pool %q: file journals are per-world; use journal_mem", spec.Name)
 	}

@@ -30,11 +30,6 @@ func tinySpec() Spec {
 }
 
 func TestPoolRejectsBadSpecs(t *testing.T) {
-	restore := tinySpec()
-	restore.RestorePath = "/nope.ckpt"
-	if _, err := NewPool(restore, 1); err == nil {
-		t.Fatal("restore spec accepted")
-	}
 	filed := tinySpec()
 	filed.JournalPath = "/tmp/nope.jnl"
 	if _, err := NewPool(filed, 1); err == nil {

@@ -1,9 +1,9 @@
 // Package world is the world-lifecycle layer: one declarative Spec
 // describing a simulated machine — image set, agent stack, resource
-// limits, breaker budgets, journal and checkpoint wiring, trace and
-// telemetry options — and one lifecycle over it:
+// limits, breaker budgets, journal wiring, trace and telemetry options —
+// and one lifecycle over it:
 //
-//	Boot → Attach → Exec (sessions) → Checkpoint → Close
+//	Boot (or Fork) → Attach → Exec (sessions) → Checkpoint → Close
 //
 // Before this layer existed the repository had four hand-rolled boot
 // paths (apps.NewWorld, experiments.World, the crash table's world, and
@@ -15,15 +15,16 @@
 //
 // A world is built one of two ways, and both end in the same facility
 // sequence (finishBoot): Boot builds the kernel from scratch (image
-// registry, program installs, Setup hooks) or from a checkpoint; Fork
-// makes a copy-on-reach overlay of a live world's frozen filesystem, at
-// a cost independent of the tree. Boot is the host-side
-// entry point (agentrun, experiments). The multi-tenant server
-// (internal/worldd) boots once — a bare base world — and hosts every
-// tenant and recovery rebuild as a Fork of it, thousands of worlds in
-// one process, so Close must return a world to nothing: no goroutines, no
-// host descriptors, no zombies — and must never disturb the parent it
-// was forked from.
+// registry, program installs, Setup hooks); Fork makes a copy-on-reach
+// overlay of another world's frozen filesystem, at a cost independent of
+// the tree. A restore is a fork too: Load decodes and fsck-gates a
+// checkpoint once into a bare template world, and each world restored
+// from it is a Fork of that template. Boot is the host-side entry point
+// (agentrun, experiments). The multi-tenant server (internal/worldd)
+// boots once — a bare base world — and hosts every tenant and recovery
+// rebuild as a Fork of it, thousands of worlds in one process, so Close
+// must return a world to nothing: no goroutines, no host descriptors, no
+// zombies — and must never disturb the parent it was forked from.
 //
 // The package deliberately does not import the application set: Spec
 // carries a Register hook for the image registry and Setup hooks for
@@ -35,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -107,16 +107,11 @@ type Spec struct {
 	// Required: a world without programs cannot run sessions.
 	Register func(*image.Registry) `json:"-"`
 
-	// Setup hooks run in order on a freshly booted world (not on a
-	// restore, whose filesystem already carries its state): bench
-	// fixtures, source trees, extra files.
+	// Setup hooks run in order on a freshly booted world: bench
+	// fixtures, source trees, extra files. A Fork does not run them: its
+	// filesystem already carries its template's state, and a world
+	// restored from a checkpoint is a Fork of the template Load built.
 	Setup []func(*kernel.Kernel) error `json:"-"`
-
-	// RestorePath boots from a checkpoint file instead of a fresh world.
-	RestorePath string `json:"restore,omitempty"`
-	// RestoreFrom boots from a checkpoint stream (host-side callers;
-	// takes precedence over RestorePath).
-	RestoreFrom io.Reader `json:"-"`
 
 	// Agents is the agent stack, catalog specs as in `agentrun -a`,
 	// first closest to the kernel; at most kernel.MaxLayers deep.
@@ -211,9 +206,10 @@ type World struct {
 	closed bool
 
 	// Applied, Skipped, and Torn report journal recovery at boot: how
-	// many records rolled forward, how many a restored checkpoint
-	// already contained, and the torn tail (already cut from the store)
-	// if the previous incarnation died mid-write.
+	// many records rolled forward, how many the world it was forked from
+	// (a loaded checkpoint, say) already contained, and the torn tail
+	// (already cut from the store) if the previous incarnation died
+	// mid-write.
 	Applied int
 	Skipped int
 	Torn    *journal.Torn
@@ -229,8 +225,8 @@ type freezer interface{ Freeze(torn int) }
 // Boot builds a world from its Spec and attaches every declared
 // facility, in the one order that is correct for all callers:
 //
-//  1. boot the kernel — fresh (register images, install programs
-//     sorted, run Setup hooks) or from a checkpoint;
+//  1. boot the kernel: register images, install programs sorted, run
+//     Setup hooks;
 //  2. replay and attach the journal (torn tail cut, writer sequenced
 //     past the replayed prefix);
 //  3. fsck-gate any recovered filesystem;
@@ -238,48 +234,59 @@ type freezer interface{ Freeze(torn int) }
 //     journal store), and supervisor;
 //  5. construct the agent stack (Attach).
 func Boot(spec Spec) (*World, error) {
-	if spec.Register == nil {
-		return nil, fmt.Errorf("world: spec %q has no image registry hook", spec.Name)
-	}
-	images := image.NewRegistry()
-	spec.Register(images)
-
-	w := &World{spec: spec}
-	var err error
-	switch {
-	case spec.RestoreFrom != nil:
-		w.k, err = kernel.Restore(images, spec.RestoreFrom)
-	case spec.RestorePath != "":
-		f, oerr := os.Open(spec.RestorePath)
-		if oerr != nil {
-			return nil, fmt.Errorf("world: restore: %w", oerr)
-		}
-		w.k, err = kernel.Restore(images, f)
-		f.Close()
-	default:
-		w.k = kernel.New(images)
-		// Programs are installed in sorted order so two boots assign
-		// identical inode numbers throughout — a journal recorded
-		// against one fresh world must replay exactly onto another.
-		for _, name := range images.Names() {
-			if err := w.k.InstallProgram("/bin/"+name, name); err != nil {
-				return nil, fmt.Errorf("world: install %s: %w", name, err)
-			}
-		}
-		for _, setup := range spec.Setup {
-			if err := setup(w.k); err != nil {
-				return nil, fmt.Errorf("world: setup: %w", err)
-			}
-		}
-	}
+	images, err := registry(spec.Name, spec.Register)
 	if err != nil {
-		return nil, fmt.Errorf("world: boot: %w", err)
+		return nil, err
 	}
-	restored := spec.RestoreFrom != nil || spec.RestorePath != ""
-	if err := w.finishBoot(restored); err != nil {
+	w := &World{spec: spec, k: kernel.New(images)}
+	// Programs are installed in sorted order so two boots assign
+	// identical inode numbers throughout — a journal recorded against one
+	// fresh world must replay exactly onto another.
+	for _, name := range images.Names() {
+		if err := w.k.InstallProgram("/bin/"+name, name); err != nil {
+			return nil, fmt.Errorf("world: install %s: %w", name, err)
+		}
+	}
+	for _, setup := range spec.Setup {
+		if err := setup(w.k); err != nil {
+			return nil, fmt.Errorf("world: setup: %w", err)
+		}
+	}
+	if err := w.finishBoot(); err != nil {
 		return nil, err
 	}
 	return w, nil
+}
+
+// registry builds the image registry a world named name boots with.
+func registry(name string, register func(*image.Registry)) (*image.Registry, error) {
+	if register == nil {
+		return nil, fmt.Errorf("world: spec %q has no image registry hook", name)
+	}
+	images := image.NewRegistry()
+	register(images)
+	return images, nil
+}
+
+// Load decodes a checkpoint stream against the images register provides
+// and fsck-gates it into a bare template world: like worldd's base, it
+// has no agents, journal or facilities. Every world restored from the
+// checkpoint is a Fork of the template, so N restores decode and check
+// the checkpoint once; replaying a journal onto such a fork rolls it
+// forward from the checkpoint, whose watermark skips what it holds.
+func Load(name string, register func(*image.Registry), r io.Reader) (*World, error) {
+	images, err := registry(name, register)
+	if err != nil {
+		return nil, err
+	}
+	k, err := kernel.Restore(images, r)
+	if err != nil {
+		return nil, fmt.Errorf("world: load %s: %w", name, err)
+	}
+	if bad := k.FS().Check(); len(bad) != 0 {
+		return nil, fmt.Errorf("world: checkpoint %s fails fsck: %s", name, strings.Join(bad, "; "))
+	}
+	return &World{spec: Spec{Name: name, Register: register}, k: k}, nil
 }
 
 // Fork clones a booted template into a new, independently bootable world
@@ -291,11 +298,10 @@ func Boot(spec Spec) (*World, error) {
 //
 // The child gets the facilities spec declares — its own telemetry
 // registry, tracer, injector, supervisor, journal, agent stack — wired
-// by the same sequencing Boot uses. Setup hooks do not run (the forked
-// filesystem already carries the template's state, exactly like a
-// restore), and restore fields are refused: a fork's filesystem comes
-// from its parent. spec.Register is not consulted either — the child
-// shares the parent's image registry, which is immutable after boot.
+// by the same sequencing Boot uses. Setup hooks do not run: the forked
+// filesystem already carries the template's state. spec.Register is not
+// consulted either — the child shares the parent's image registry, which
+// is immutable after boot.
 //
 // Forking seals the parent's journal epoch first (Commit), so a journal
 // recorded by the parent replays onto the child as pure skips — the
@@ -303,11 +309,9 @@ func Boot(spec Spec) (*World, error) {
 // never journaled (a bare template, worldd's base) is indistinguishable
 // from a fresh boot to a journal: replaying a world's journal onto a
 // fork of it recovers exactly what replaying onto a Boot would, which is
-// how worldd rebuilds a crashed tenant.
+// how worldd rebuilds a crashed tenant. A template Load built carries its
+// checkpoint's watermark the same way.
 func Fork(parent *World, spec Spec) (*World, error) {
-	if spec.RestoreFrom != nil || spec.RestorePath != "" {
-		return nil, fmt.Errorf("world: fork %q: cannot both fork and restore", spec.Name)
-	}
 	parent.mu.Lock()
 	if parent.closed {
 		parent.mu.Unlock()
@@ -329,25 +333,25 @@ func Fork(parent *World, spec Spec) (*World, error) {
 		return nil, fmt.Errorf("world: fork: %w", err)
 	}
 	w := &World{spec: spec, k: k}
-	if err := w.finishBoot(false); err != nil {
+	if err := w.finishBoot(); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
 // finishBoot runs the facility half of the boot sequence on a world
-// whose kernel already exists (freshly booted, restored, or forked):
+// whose kernel already exists (freshly booted or forked):
 // journal replay + attach, the fsck gate, telemetry, tracer, injector,
 // supervisor, console mirror, and the agent stack — in the one order
 // that is correct for all callers (see Boot).
-func (w *World) finishBoot(restored bool) error {
+func (w *World) finishBoot() error {
 	spec := w.spec
 
 	// The journal attaches before anything runs. An existing file is
-	// first replayed onto the world — onto the checkpoint on a restore
+	// first replayed onto the world — onto a fork of a loaded checkpoint
 	// (the sequence watermark skips what the checkpoint already holds),
-	// onto the fresh boot otherwise — so booting twice with the same
-	// journal file recovers a crashed world and continues it.
+	// onto the fresh boot or fork otherwise — so booting twice with the
+	// same journal file recovers a crashed world and continues it.
 	switch {
 	case spec.JournalPath != "":
 		st, data, jerr := journal.OpenFileStore(spec.JournalPath)
@@ -377,9 +381,10 @@ func (w *World) finishBoot(restored bool) error {
 		w.jstore = st
 	}
 
-	// The recovery verifier runs after every restore or replay: a world
-	// that fails fsck must not be handed to programs.
-	if restored || w.Replayed() > 0 {
+	// The recovery verifier runs after every replay (Load has already
+	// checked a checkpoint): a world that fails fsck must not be handed
+	// to programs.
+	if w.Replayed() > 0 {
 		if bad := w.k.FS().Check(); len(bad) != 0 {
 			w.releaseStore()
 			return fmt.Errorf("world: recovered world fails fsck: %s", strings.Join(bad, "; "))

@@ -182,16 +182,24 @@ func TestCheckpointRestore(t *testing.T) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 
-	spec := apps.Spec()
-	spec.RestoreFrom = &snap
+	tmpl, err := world.Load("snap", apps.Register, &snap)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	t.Cleanup(func() { tmpl.Close() })
 	// Setup hooks must NOT run on a restore: the checkpoint carries the
 	// filesystem, and re-running fixtures would clobber it.
+	spec := apps.Spec()
 	ranSetup := false
 	spec.Setup = append(spec.Setup, func(*kernel.Kernel) error {
 		ranSetup = true
 		return nil
 	})
-	w2 := boot(t, spec)
+	w2, err := world.Fork(tmpl, spec)
+	if err != nil {
+		t.Fatalf("fork: %v", err)
+	}
+	t.Cleanup(func() { w2.Close() })
 	if ranSetup {
 		t.Fatal("Setup hook ran on a restored world")
 	}

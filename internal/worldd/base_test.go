@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -57,12 +58,16 @@ func observe(res world.ExecResult) world.ExecResult {
 	return res
 }
 
-// runDirect runs the workload on a world built by the host and closes it.
-func runDirect(t *testing.T, w *world.World) outcome {
+// runDirect runs reqs (the whole workload by default) on a world built
+// by the host and closes it.
+func runDirect(t *testing.T, w *world.World, reqs ...world.ExecRequest) outcome {
 	t.Helper()
 	defer w.Close()
+	if reqs == nil {
+		reqs = workload
+	}
 	var out outcome
-	for _, req := range workload {
+	for _, req := range reqs {
 		res, err := w.Exec(req)
 		if err != nil {
 			t.Fatalf("%v: %v", req.Argv, err)
@@ -74,14 +79,15 @@ func runDirect(t *testing.T, w *world.World) outcome {
 }
 
 // TestConstructionPathsAgree runs one workload on every way a world is
-// built — a host-side world.Boot, a world.Fork of a bare base, a
-// world.Boot restored from a checkpoint of that base, and a journaled
-// worldd tenant that an injected fault crashes mid-workload and the
-// watchdog rebuilds (a fork of the daemon's base with the journal
-// replayed) — and requires identical exit statuses, outputs and
-// FS.StateHash on all four. This is the transparency check for
-// boot-once-per-daemon: a tenant must not be able to tell a fork or a
-// restore from a boot.
+// built — a host-side world.Boot; a world.Fork of a bare base; a Fork of
+// the template world.Load made from a checkpoint of that base; a Fork of
+// the same template that replays the file journal of a sibling fork an
+// injected fault crashed mid-workload; and a journaled worldd tenant that
+// an injected fault crashes mid-workload and the watchdog rebuilds (a
+// fork of the daemon's base with the journal replayed) — and requires
+// identical exit statuses, outputs and FS.StateHash on all five. This is
+// the transparency check for boot-once-per-daemon: a tenant must not be
+// able to tell a fork or a restore from a boot.
 //
 // One difference is deliberate and invisible here: fixture mtimes are
 // the base's boot time, not the tenant's create time, and StateHash
@@ -114,14 +120,55 @@ func TestConstructionPathsAgree(t *testing.T) {
 	if err := base.Checkpoint(&ckpt); err != nil {
 		t.Fatal(err)
 	}
-	restoreSpec := apps.Spec()
-	restoreSpec.Name = "restore"
-	restoreSpec.RestoreFrom = &ckpt
-	restored, err := world.Boot(restoreSpec)
+	tmpl, err := world.Load("restore", apps.Register, &ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmpl.Close()
+	restored, err := world.Fork(tmpl, apps.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	outcomes["restore"] = runDirect(t, restored)
+
+	// Restore plus replay: a fork of the loaded template journals the
+	// first sessions to a file, committing at each session boundary as
+	// worldd does, until a poison open crashes it. A second fork of the
+	// same template replays that journal and runs the last session.
+	jspec := apps.Spec()
+	jspec.JournalPath = filepath.Join(t.TempDir(), "restore.jnl")
+	jspec.Inject = "seed=1,open:/boom=crash@1"
+	crashed, err := world.Fork(tmpl, jspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replayed outcome
+	for _, req := range workload[:2] {
+		res, err := crashed.Exec(req)
+		if err != nil {
+			t.Fatalf("%v: %v", req.Argv, err)
+		}
+		if err := crashed.Kernel().Journal().Commit(); err != nil {
+			t.Fatal(err)
+		}
+		replayed.sessions = append(replayed.sessions, observe(res))
+	}
+	if _, err := crashed.Exec(world.ExecRequest{Argv: []string{"cat", "/boom"}}); err != nil || !crashed.Crashed() {
+		t.Fatalf("poison session: err %v, crashed %v", err, crashed.Crashed())
+	}
+	crashed.Close()
+	jspec.Inject = ""
+	recovered, err := world.Fork(tmpl, jspec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered.Applied == 0 {
+		t.Fatal("restore plus replay applied no journal records")
+	}
+	last := runDirect(t, recovered, workload[2])
+	replayed.sessions = append(replayed.sessions, last.sessions...)
+	replayed.hash = last.hash
+	outcomes["restore-replay"] = replayed
 
 	// The daemon tenant: the write sessions land in its file journal, a
 	// poison open crashes the machine, and the last session runs on the

@@ -477,12 +477,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// The wire spec carries budgets and options; the host-side wiring
 	// (the function-valued fields) is json:"-" and never crosses the
 	// socket — every world forks the server's base instead. Host paths
-	// never cross it either: restores are refused, and the journal
-	// field is a key mapped into the server's own state directory.
-	if spec.RestorePath != "" {
-		httpError(w, http.StatusBadRequest, "restore is not accepted over the wire")
-		return
-	}
+	// never cross it either: the spec has no restore field, so the
+	// strict decoder refuses one, and the journal field is a key mapped
+	// into the server's own state directory.
 	if a := spec.Admission; a != nil && (a.MaxSessions < 0 || a.Rate < 0 || a.Burst < 0) {
 		httpError(w, http.StatusBadRequest, "admission: negative budget")
 		return

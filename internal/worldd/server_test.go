@@ -347,8 +347,9 @@ func TestTenantJournalIsolation(t *testing.T) {
 
 // TestJournalConfinement: the wire journal field must be a bare key —
 // anything that could escape the server's state directory is rejected,
-// as is any wire restore (the daemon must never open host files a
-// client names).
+// as is any wire restore: the spec has no such field, so the strict
+// decoder answers 400 (the daemon must never open host files a client
+// names).
 func TestJournalConfinement(t *testing.T) {
 	c := testServer(t)
 	for _, bad := range []string{"../evil", "/etc/passwd", "a/b", `a\b`, "..", "."} {
@@ -358,7 +359,7 @@ func TestJournalConfinement(t *testing.T) {
 		}
 	}
 	var body map[string]string
-	if st := c.do("POST", "/1.0/worlds", world.Spec{Name: "x", RestorePath: "/etc/hostname"}, &body); st != http.StatusBadRequest {
+	if st := c.do("POST", "/1.0/worlds", json.RawMessage(`{"name":"x","restore":"/etc/hostname"}`), &body); st != http.StatusBadRequest {
 		t.Fatalf("wire restore: status %d, want 400 (%+v)", st, body)
 	}
 
