@@ -69,16 +69,20 @@ func FuzzScan(f *testing.F) {
 
 // FuzzMemStore drives a MemStore and a flat byte-slice model through the
 // same program of appends (empty, small, and up to three group commits
-// long), syncs and freezes, under a capacity limit. After every step the store's size and bytes
-// must equal the model's, and an append must fail with ErrNoSpace
-// exactly when the model overflows the limit. A freeze tears up to a
-// few kilobytes off the tail, so a tear crosses segment boundaries, and
-// must stop at the synced watermark.
+// long), syncs, freezes and releases, under a capacity limit. After
+// every step the store's size and bytes must equal the model's, and an
+// append must fail with ErrNoSpace exactly when the model overflows the
+// limit. Appends straddle the store's chunk boundaries; a freeze tears
+// up to 64 KiB off the tail, so a tear spans chunks, and must stop at
+// the synced watermark. A release must give back one chunk per started
+// chunk and leave the store frozen and empty; the program then goes on
+// with a second store, which draws the chunks the first gave back.
 func FuzzMemStore(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 20, 1, 0, 200, 2, 0xff, 0xff}, uint16(0))
 	f.Add([]byte{0, 0, 0, 130, 0, 140, 0, 5, 2, 0x10, 0x30, 0, 9}, uint16(0))
 	f.Add([]byte{0, 150, 1, 0, 160, 0, 3, 0, 170, 2, 0x01, 0x20}, uint16(9000))
 	f.Add([]byte{0, 40, 0, 40, 0, 40, 0, 250, 0, 1}, uint16(100))
+	f.Add([]byte{0, 200, 0, 255, 1, 0, 180, 2, 0x30, 0x00, 3, 0, 170, 0, 255, 3}, uint16(0))
 	f.Fuzz(func(t *testing.T, prog []byte, limit uint16) {
 		st := NewMemStore(int64(limit))
 		var model []byte
@@ -92,7 +96,7 @@ func FuzzMemStore(f *testing.F) {
 			return int(b)
 		}
 		for step := 0; len(prog) > 0; step++ {
-			switch next() % 3 {
+			switch next() % 4 {
 			case 0: // append: a size byte past 128 means up to 12 KB
 				n := next()
 				if n > 128 {
@@ -122,12 +126,25 @@ func FuzzMemStore(f *testing.F) {
 					synced = len(model)
 				}
 			case 2:
-				torn := next()<<4 | next()>>4
+				torn := next()<<8 | next()
 				st.Freeze(torn)
 				if !frozen {
 					frozen = true
 					model = model[:len(model)-min(torn, len(model)-synced)]
 				}
+			case 3:
+				want := (len(model) + chunkSize - 1) / chunkSize
+				if got := st.Release(); got != want {
+					t.Fatalf("step %d: Release gave back %d chunks for %d bytes, want %d", step, got, len(model), want)
+				}
+				if st.Size() != 0 || len(st.Bytes()) != 0 {
+					t.Fatalf("step %d: a released store holds %d bytes", step, st.Size())
+				}
+				if err := st.Append([]byte("late")); err != nil || st.Size() != 0 {
+					t.Fatalf("step %d: append to a released store: %v, size %d", step, err, st.Size())
+				}
+				st = NewMemStore(int64(limit))
+				model, synced, frozen = nil, 0, false
 			}
 			if got := st.Size(); got != int64(len(model)) {
 				t.Fatalf("step %d: Size %d, model %d", step, got, len(model))

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"sync"
+
+	"interpose/internal/mem"
 )
 
 // ErrNoSpace is returned by a Store whose capacity is exhausted: the
@@ -26,18 +28,23 @@ type Store interface {
 // bytes off the tail, a half-written final sector) and silently ignores
 // every later append, exactly as a dead disk would.
 //
-// The stored bytes are a list of segments, one exact-size segment per
-// Append (per group commit). A byte is copied in once and never moved
-// again, so a write-heavy journal costs its own size, not the doubling
-// copies of one growing buffer.
+// The stored bytes are a chain of one-page chunks drawn from the shared
+// buffer allocator (mem.Alloc) and filled in order. A byte is copied in
+// once and never moved again, so a write-heavy journal costs its own
+// size, not the doubling copies of one growing buffer; Release gives the
+// chunks back when the world that wrote them is gone.
 type MemStore struct {
 	mu     sync.Mutex
-	segs   [][]byte
-	size   int64 // total bytes over segs
-	limit  int64 // 0 = unlimited
-	synced int64 // durable watermark: Freeze never tears below it
+	chunks [][]byte // every chunk but the last is full
+	size   int64    // total bytes over chunks
+	limit  int64    // 0 = unlimited
+	synced int64    // durable watermark: Freeze never tears below it
 	frozen bool
 }
+
+// chunkSize is the size of one MemStore chunk: the allocator's smallest
+// class.
+const chunkSize = mem.MinClass
 
 // NewMemStore creates a MemStore; limit > 0 caps its capacity in bytes.
 func NewMemStore(limit int64) *MemStore {
@@ -56,8 +63,18 @@ func (m *MemStore) Append(p []byte) error {
 	if m.limit > 0 && m.size+int64(len(p)) > m.limit {
 		return ErrNoSpace
 	}
-	m.segs = append(m.segs, append([]byte(nil), p...))
 	m.size += int64(len(p))
+	for len(p) > 0 {
+		last := len(m.chunks) - 1
+		if last < 0 || len(m.chunks[last]) == chunkSize {
+			m.chunks = append(m.chunks, mem.Alloc(0, chunkSize))
+			last++
+		}
+		c := m.chunks[last]
+		n := min(len(p), chunkSize-len(c))
+		m.chunks[last] = append(c, p[:n]...)
+		p = p[n:]
+	}
 	return nil
 }
 
@@ -82,7 +99,7 @@ func (m *MemStore) Sync() error {
 // (minus torn trailing bytes) become immutable, and later appends are
 // silently discarded. Tearing is clamped to the synced watermark —
 // a half-written final sector can only damage bytes no fsync barrier
-// has promised durable. A tear may span several trailing segments.
+// has promised durable. A tear may span several trailing chunks.
 // Idempotent — only the first call tears.
 func (m *MemStore) Freeze(torn int) {
 	m.mu.Lock()
@@ -94,13 +111,15 @@ func (m *MemStore) Freeze(torn int) {
 	cut := min(int64(max(torn, 0)), m.size-m.synced)
 	m.size -= cut
 	for cut > 0 {
-		last := m.segs[len(m.segs)-1]
-		if int64(len(last)) > cut {
-			m.segs[len(m.segs)-1] = last[:int64(len(last))-cut]
+		last := len(m.chunks) - 1
+		c := m.chunks[last]
+		if int64(len(c)) > cut {
+			m.chunks[last] = c[:int64(len(c))-cut]
 			break
 		}
-		m.segs = m.segs[:len(m.segs)-1]
-		cut -= int64(len(last))
+		mem.Free(c)
+		m.chunks = m.chunks[:last]
+		cut -= int64(len(c))
 	}
 }
 
@@ -109,10 +128,28 @@ func (m *MemStore) Bytes() []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]byte, 0, m.size)
-	for _, seg := range m.segs {
-		out = append(out, seg...)
+	for _, c := range m.chunks {
+		out = append(out, c...)
 	}
 	return out
+}
+
+// Release gives the store's chunks back to the allocator and returns
+// how many went back. The store is left frozen and empty: the world it
+// journaled is gone, and nothing may read its journal afterwards.
+func (m *MemStore) Release() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, c := range m.chunks {
+		if mem.Free(c) {
+			n++
+		}
+	}
+	m.chunks = nil
+	m.size, m.synced = 0, 0
+	m.frozen = true
+	return n
 }
 
 // FileStore is a host-file-backed Store, used by agentrun -journal.

@@ -49,15 +49,17 @@ type fdesc struct {
 	cloexec bool
 }
 
+// fdLimit is the number of descriptors p may hold: RLIMIT_NOFILE, capped
+// by the kernel's table bound. The table itself grows on demand up to it.
+func (p *Proc) fdLimit() int {
+	return min(int(p.Rlimit(sys.RLIMIT_NOFILE).Cur), sys.OpenMax)
+}
+
 // allocFD finds the lowest free descriptor slot at or above min.
 // Caller holds p.fdMu.
 func (p *Proc) allocFDLocked(min int) (int, sys.Errno) {
-	limit := int(p.Rlimit(sys.RLIMIT_NOFILE).Cur)
-	if limit > len(p.fds) {
-		limit = len(p.fds)
-	}
-	for fd := min; fd < limit; fd++ {
-		if p.fds[fd].file == nil {
+	for fd := max(min, 0); fd < p.fdLimit(); fd++ {
+		if fd >= len(p.fds) || p.fds[fd].file == nil {
 			return fd, sys.OK
 		}
 	}
@@ -79,8 +81,12 @@ func (p *Proc) file(fd int) (*File, sys.Errno) {
 	return p.fileLocked(fd)
 }
 
-// installFD places a file in a specific slot. Caller holds p.fdMu.
+// installFD places a file in a specific slot, growing the table to
+// reach it. Caller holds p.fdMu.
 func (p *Proc) installFDLocked(fd int, f *File, cloexec bool) {
+	if fd >= len(p.fds) {
+		p.fds = append(p.fds, make([]fdesc, fd+1-len(p.fds))...)
+	}
 	p.fds[fd] = fdesc{file: f, cloexec: cloexec}
 	f.ref()
 }

@@ -272,7 +272,7 @@ func (k *Kernel) newProc(pid int, as *mem.AS) *Proc {
 		as:        as,
 		cwd:       k.fs.Root(),
 		root:      k.fs.Root(),
-		fds:       make([]fdesc, sys.OpenMax),
+		fds:       make([]fdesc, 0, 8),
 		umask:     0o022,
 		children:  make(map[int]*Proc),
 		comm:      "",

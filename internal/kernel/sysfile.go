@@ -372,18 +372,15 @@ func (k *Kernel) sysDup2(p *Proc, a sys.Args) (sys.Retval, sys.Errno) {
 	if err != sys.OK {
 		return sys.Retval{}, err
 	}
-	if newfd < 0 || newfd >= len(p.fds) {
-		return sys.Retval{}, sys.EBADF
-	}
-	// 4.3BSD bounds newfd by the descriptor limit, not just the table:
+	// 4.3BSD bounds newfd by the descriptor limit, not by the table:
 	// dup2 past getdtablesize() — here RLIMIT_NOFILE — is EBADF.
-	if lim := int(p.Rlimit(sys.RLIMIT_NOFILE).Cur); newfd >= lim {
+	if newfd < 0 || newfd >= p.fdLimit() {
 		return sys.Retval{}, sys.EBADF
 	}
 	if newfd == oldfd {
 		return sys.Retval{sys.Word(newfd)}, sys.OK
 	}
-	if p.fds[newfd].file != nil {
+	if newfd < len(p.fds) && p.fds[newfd].file != nil {
 		p.closeFDLocked(newfd)
 	}
 	p.installFDLocked(newfd, f, false)

@@ -159,10 +159,10 @@ func (k *Kernel) sysFork(p *Proc) (sys.Retval, sys.Errno) {
 	// may still be half-copied at that point.
 	child := k.newProc(k.allocPID(), p.as.Clone())
 	p.fdMu.Lock()
-	for fd := range p.fds {
-		if f := p.fds[fd].file; f != nil {
-			child.fds[fd] = fdesc{file: f, cloexec: p.fds[fd].cloexec}
-			f.ref()
+	child.fds = append(child.fds, p.fds...)
+	for _, d := range child.fds {
+		if d.file != nil {
+			d.file.ref()
 		}
 	}
 	p.fdMu.Unlock()
@@ -431,7 +431,7 @@ func (p *Proc) OpenConsole() error {
 	p.fdMu.Lock()
 	defer p.fdMu.Unlock()
 	for fd := 0; fd < 3; fd++ {
-		if p.fds[fd].file == nil {
+		if fd >= len(p.fds) || p.fds[fd].file == nil {
 			f := &File{ip: ip, flags: sys.O_RDWR}
 			p.installFDLocked(fd, f, false)
 		}

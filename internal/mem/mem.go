@@ -9,13 +9,14 @@
 // at StackTop growing down.
 //
 // Pages are recycled, not left to the garbage collector: execve (Reset),
-// a lowered break (SetBrk) and process exit (Release) return pages to one
-// package-wide pool, from which first touches and fork (Clone) draw. The
-// pool serves every address space in the process — every world of a
-// multi-tenant daemon — so a page is zeroed on its way in: a recycled
-// page reads as zeros exactly like a fresh one, and no space ever sees
-// another's bytes. Pages never leave the package; every access is a copy
-// made under the space's lock, so a pooled page is unreachable.
+// a lowered break (SetBrk) and process exit (Release) return pages to the
+// package's one-page buffer class (buf.go), from which first touches and
+// fork (Clone) draw. The class serves every address space in the process
+// — every world of a multi-tenant daemon — and file data and journals
+// besides, so a page is zeroed on its way in: a recycled page reads as
+// zeros exactly like a fresh one, and no space ever sees another's bytes.
+// Pages never leave the package; every access is a copy made under the
+// space's lock, so a pooled page is unreachable.
 package mem
 
 import (
@@ -46,16 +47,11 @@ const (
 	EmuSize sys.Word = 64 * 1024
 )
 
-// pagePool recycles pages between address spaces. Every page in it is
-// zero (putPage clears it), so getPage's result reads as a fresh page.
-var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
+// getPage returns a zero page, recycled when one is free; putPage
+// clears pg and returns it.
+func getPage() *[PageSize]byte { return (*[PageSize]byte)(Alloc(PageSize, 0)) }
 
-func getPage() *[PageSize]byte { return pagePool.Get().(*[PageSize]byte) }
-
-func putPage(pg *[PageSize]byte) {
-	clear(pg[:])
-	pagePool.Put(pg)
-}
+func putPage(pg *[PageSize]byte) { Free(pg[:]) }
 
 // AS is one simulated address space.
 type AS struct {

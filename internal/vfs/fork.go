@@ -41,9 +41,10 @@ import (
 // overlay's clone of that number (cloning it on first reach), so the
 // kernel only ever holds inodes of its own filesystem and a hard link is
 // cloned once per ino. The clone index is read without a lock: only the
-// first reach of a number takes ovMu. A directory clone reaches its
-// parent at once, so ".." and every ancestry walk stay inside the
-// overlay.
+// first reach of a number takes ovMu, and every reach of an outlying
+// number past the index's dense bound (cloneIndex). A directory clone
+// reaches its parent at once, so ".." and every ancestry walk stay
+// inside the overlay.
 //
 // An image frozen from an overlay can hold stale pointers: a directory
 // the overlay never reached still names the older version of a file the
@@ -139,17 +140,12 @@ func (fs *FS) freeze() *image {
 	if fs.img != nil {
 		img.newer = make(map[uint32]*Inode, len(fs.img.newer))
 		maps.Copy(img.newer, fs.img.newer)
-		if ix := fs.clones.Load(); ix != nil {
-			for i := range ix.c {
-				if c := ix.c[i].Load(); c != nil {
-					img.newer[uint32(i)] = c
-				}
-			}
-		}
+		fs.eachCloneLocked(func(c *Inode) { img.newer[c.Ino] = c })
 	}
 	fs.layer.Add(1)
 	fs.img = img
 	fs.clones.Store(nil)
+	fs.sparse = nil
 	fs.changed.Store(false)
 	fs.root.Store(fs.reachLocked(img.root))
 	return img
@@ -158,6 +154,55 @@ func (fs *FS) freeze() *image {
 // owns reports whether ip is one of fs's own, mutable inodes.
 func (fs *FS) owns(ip *Inode) bool {
 	return ip.fs == fs && ip.layer == fs.layer.Load()
+}
+
+// Release gives back to the allocator every file array an inode of the
+// filesystem's current layer owns, at world teardown, and returns how
+// many went back. It reaches those inodes through the clone index and
+// the directories the layer owns; a file made at this layer that no
+// directory names any more is left to the garbage collector. An image's
+// arrays (cow) are shared by every overlay on the image and never go
+// back. Each inode's data is dropped under its lock, so a second visit
+// (a hard link, a second Release) gives back nothing. The filesystem
+// must not be read afterwards: its files read as empty.
+func (fs *FS) Release() int {
+	var clones []*Inode
+	fs.ovMu.Lock()
+	fs.eachCloneLocked(func(c *Inode) { clones = append(clones, c) })
+	fs.ovMu.Unlock()
+	if len(clones) == 0 {
+		clones = append(clones, fs.Root()) // a filesystem never frozen
+	}
+	n := 0
+	put := func(ip *Inode) {
+		if ip.typ == sys.S_IFREG {
+			ip.mu.Lock()
+			if ip.putLocked() {
+				n++
+			}
+			ip.mu.Unlock()
+		}
+	}
+	// walk visits dir's entries made at this layer and descends into the
+	// directories among them; clones are visited from the index.
+	var walk func(dir *Inode)
+	walk = func(dir *Inode) {
+		for _, e := range dir.names().m {
+			if fs.owns(e) && fs.cloneOf(e.Ino) != e {
+				put(e)
+				if e.IsDir() {
+					walk(e)
+				}
+			}
+		}
+	}
+	for _, c := range clones {
+		put(c)
+		if c.IsDir() {
+			walk(c)
+		}
+	}
+	return n
 }
 
 // writable is called by every mutator on each inode it is about to
@@ -173,16 +218,30 @@ func (ip *Inode) writable() {
 	}
 }
 
-// cloneIndex maps an image inode number to fs's clone of it. Inode
-// numbers are dense, so the index is a slice by number. It grows by
-// doubling under ovMu and is published whole, so a reader takes no lock:
-// one holding an outgrown index may miss a newer clone, and then takes
-// reach's locked path.
+// cloneIndex maps an image inode number to fs's clone of it. Numbers
+// below the dense bound (denseClones) are a slice by number, which grows
+// by doubling under ovMu and is published whole, so a reader takes no
+// lock: one holding an outgrown index may miss a newer clone, and then
+// takes reach's locked path. Numbers past the bound, which only a sparse
+// image (a checkpoint with outlying numbers) holds, go to a map under
+// ovMu, so the index costs memory in proportion to the clones it holds,
+// never to the largest number it reaches.
 type cloneIndex struct {
 	c []atomic.Pointer[Inode]
 }
 
-// cloneOf returns fs's clone of image inode number ino, or nil.
+// denseClones bounds the numbers the index keeps by slot: twice the
+// image's inode count, plus headroom for a small tree. Every number of an
+// image whose allocator has not run past that bound, as in a booted or
+// forked world that freed no more inodes than it holds, is within it.
+// Caller holds ovMu.
+func (fs *FS) denseClones() int {
+	return int(2*fs.img.ninodes + 64)
+}
+
+// cloneOf returns fs's clone of image inode number ino if the dense
+// index holds one, without a lock; nil means the caller must look again
+// under ovMu (cloneOfLocked).
 func (fs *FS) cloneOf(ino uint32) *Inode {
 	if ix := fs.clones.Load(); ix != nil && int(ino) < len(ix.c) {
 		return ix.c[ino].Load()
@@ -190,14 +249,30 @@ func (fs *FS) cloneOf(ino uint32) *Inode {
 	return nil
 }
 
+// cloneOfLocked returns fs's clone of image inode number ino, or nil.
+// Caller holds ovMu.
+func (fs *FS) cloneOfLocked(ino uint32) *Inode {
+	if c := fs.cloneOf(ino); c != nil {
+		return c
+	}
+	return fs.sparse[ino]
+}
+
 // addClone records c as fs's clone of its number. Caller holds ovMu.
 func (fs *FS) addClone(c *Inode) {
+	if int(c.Ino) >= fs.denseClones() {
+		if fs.sparse == nil {
+			fs.sparse = make(map[uint32]*Inode)
+		}
+		fs.sparse[c.Ino] = c
+		return
+	}
 	ix := fs.clones.Load()
 	if ix == nil {
 		ix = &cloneIndex{}
 	}
 	if int(c.Ino) >= len(ix.c) {
-		grown := &cloneIndex{c: make([]atomic.Pointer[Inode], max(2*len(ix.c), 8, int(c.Ino)+1))}
+		grown := &cloneIndex{c: make([]atomic.Pointer[Inode], min(max(2*len(ix.c), 8, int(c.Ino)+1), fs.denseClones()))}
 		for i := range ix.c {
 			grown.c[i].Store(ix.c[i].Load())
 		}
@@ -205,6 +280,20 @@ func (fs *FS) addClone(c *Inode) {
 		ix = grown
 	}
 	ix.c[c.Ino].Store(c)
+}
+
+// eachCloneLocked calls f with every clone fs holds. Caller holds ovMu.
+func (fs *FS) eachCloneLocked(f func(c *Inode)) {
+	if ix := fs.clones.Load(); ix != nil {
+		for i := range ix.c {
+			if c := ix.c[i].Load(); c != nil {
+				f(c)
+			}
+		}
+	}
+	for _, c := range fs.sparse {
+		f(c)
+	}
 }
 
 // reach returns fs's own inode for ip, which a directory entry may still
@@ -225,13 +314,13 @@ func (fs *FS) reachImage(ip *Inode) (c *Inode, first bool) {
 	}
 	fs.ovMu.Lock()
 	defer fs.ovMu.Unlock()
-	first = fs.cloneOf(ip.Ino) == nil
+	first = fs.cloneOfLocked(ip.Ino) == nil
 	return fs.reachLocked(ip), first
 }
 
 // reachLocked is reach with ovMu held.
 func (fs *FS) reachLocked(ip *Inode) *Inode {
-	if c := fs.cloneOf(ip.Ino); c != nil {
+	if c := fs.cloneOfLocked(ip.Ino); c != nil {
 		return c
 	}
 	src := fs.img.version(ip)
@@ -254,6 +343,9 @@ func (fs *FS) peek(ip *Inode) *Inode {
 	}
 	fs.ovMu.Lock()
 	defer fs.ovMu.Unlock()
+	if c := fs.cloneOfLocked(ip.Ino); c != nil {
+		return c
+	}
 	return fs.img.version(ip)
 }
 

@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"interpose/internal/sys"
@@ -15,10 +16,14 @@ import (
 // same parent, which copies every inode eagerly. Each operation must give
 // both copies the same result; at the end both must have equal StateHash
 // and file contents and a clean Check, and every image a fork froze must
-// still hash as it did when it was frozen.
+// still hash as it did when it was frozen. Files are also cut to zero and
+// extended across the allocator's buffer classes, and an overlay may be
+// released (its arrays given back) and dropped: every image and every
+// other overlay must then still hash as before.
 func FuzzForkOverlay(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 1, 16, 0, 5, 9})
 	f.Add([]byte{0, 10, 1, 5, 6, 28, 0, 0, 1, 10, 2, 9, 26, 0, 0, 0})
+	f.Add([]byte{0, 10, 1, 12, 1, 0, 3, 1, 1, 12, 1, 0, 5, 0, 1, 11, 1, 0, 0, 0, 0, 13})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		d := &forkOps{in: in}
 		ov := forkFuzzTree(t)
@@ -33,8 +38,27 @@ func FuzzForkOverlay(f *testing.F) {
 		}
 		var images []frozen
 		for step := 0; step < 64 && !d.done(); step++ {
-			w := worlds[d.next()%len(worlds)]
-			op := d.next() % 11
+			wi := d.next() % len(worlds)
+			w := worlds[wi]
+			op := d.next() % 14
+			if op == 13 { // release an overlay and drop it
+				if len(worlds) == 1 {
+					continue
+				}
+				w.ov.Release()
+				worlds = slices.Delete(worlds, wi, wi+1)
+				for i, o := range worlds {
+					if o.ov.StateHash() != o.ref.StateHash() {
+						t.Fatalf("step %d: world %d differs from its reference after a release", step, i)
+					}
+				}
+				for i, fz := range images {
+					if imageHash(fz.img) != fz.hash {
+						t.Fatalf("step %d: image %d changed after a release", step, i)
+					}
+				}
+				continue
+			}
 			if op == 10 { // fork
 				if len(worlds) == 6 {
 					continue
@@ -220,9 +244,29 @@ func applyFuzzOp(fs *FS, op int, a [4]int) string {
 			return e.Error()
 		}
 		return fmt.Sprint(fs.Rmdir(dir, name, root0))
+	case 11: // truncate to zero
+		ip, e := fs.Lookup(fs.Root(), p, root0, true)
+		if e != sys.OK {
+			return e.Error()
+		}
+		return fmt.Sprint(ip.Truncate(0))
+	case 12: // extend across buffer classes, by truncate or by a write past EOF
+		ip, e := fs.Lookup(fs.Root(), p, root0, true)
+		if e != sys.OK {
+			return e.Error()
+		}
+		size := fuzzClassSizes[a[2]%len(fuzzClassSizes)]
+		if a[3]%2 == 0 {
+			return fmt.Sprint(ip.Truncate(size))
+		}
+		_, e = ip.WriteAt(pattern(a[3], a[3]%64+1), size, 0)
+		return fmt.Sprint(e)
 	}
 	return readFuzzPath(fs, p) // 9: read
 }
+
+// fuzzClassSizes are file sizes at and around the allocator's classes.
+var fuzzClassSizes = []int64{4095, 4096, 4097, 8192, 20000, 65536, 70000}
 
 func readFuzzPath(fs *FS, p string) string {
 	ip, e := fs.Lookup(fs.Root(), p, root0, true)

@@ -390,8 +390,9 @@ func TestForkOfFork(t *testing.T) {
 // TestForkNeverSeesAppends pins that a shared array is never extended in
 // place: parent and child share the spare capacity behind a file's data,
 // so an append on one side must not land where the other side's next
-// append, or its length, can reach it. An empty file (spare capacity,
-// no bytes) must not be shared at all.
+// append, or its length, can reach it. A file cut down to one byte
+// (spare capacity, almost no bytes) shares just as much; a truncate to
+// zero would give its array back to the allocator instead.
 func TestForkNeverSeesAppends(t *testing.T) {
 	fs := New(nil)
 	f, _ := fs.Create(fs.Root(), "f", 0o644, root0)
@@ -400,8 +401,8 @@ func TestForkNeverSeesAppends(t *testing.T) {
 		f.WriteAt(pattern(1, 4096), off, 0)
 		g.WriteAt(pattern(1, 4096), off, 0)
 	}
-	g.Truncate(0)
-	if cap(f.data) == len(f.data) || cap(g.data) == 0 {
+	g.Truncate(1)
+	if cap(f.data) == len(f.data) || cap(g.data) <= 1 {
 		t.Fatal("fixture has no spare capacity")
 	}
 	child, err := fs.Fork(nil, nil)
@@ -426,4 +427,62 @@ func TestForkNeverSeesAppends(t *testing.T) {
 	}
 	mustClean(t, "parent", fs)
 	mustClean(t, "child", child)
+}
+
+// TestReleaseLeavesImageIntact: an overlay's Release gives back exactly
+// the arrays its own layer owns, each once — a hard link is visited
+// twice — and leaves the frozen image, the parent continuing on its own
+// overlay, and a sibling overlay reading as before.
+func TestReleaseLeavesImageIntact(t *testing.T) {
+	fs := New(nil)
+	a, _ := fs.Mkdir(fs.Root(), "a", 0o755, root0)
+	f, _ := fs.Create(a, "f", 0o644, root0)
+	f.WriteAt(pattern(1, 3*4096), 0, 0)
+	g, _ := fs.Create(a, "g", 0o644, root0)
+	g.WriteAt(pattern(2, 100), 0, 0)
+	child, err := fs.Fork(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling, err := fs.Fork(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgHash, parentHash, sibHash := imageHash(child.img), fs.StateHash(), sibling.StateHash()
+
+	// The child extends an image file (a copy out into a class array),
+	// writes two new files of class sizes, links one of them and reads
+	// an image file it never writes.
+	cf := mustLookup(t, child, "/a/f")
+	cf.WriteAt(pattern(3, 10), 3*4096, 0)
+	n, _ := child.Create(mustLookup(t, child, "/a"), "n", 0o644, root0)
+	n.WriteAt(pattern(4, 16384), 0, 0)
+	x, _ := child.Mkdir(child.Root(), "x", 0o755, root0)
+	y, _ := child.Create(x, "y", 0o644, root0)
+	y.WriteAt(pattern(5, 4096), 0, 0)
+	if e := child.Link(x, "l", n, root0); e != sys.OK {
+		t.Fatal(e)
+	}
+	mustLookup(t, child, "/a/g").Bytes()
+
+	if got := child.Release(); got != 3 {
+		t.Fatalf("Release gave back %d arrays, want 3 (/a/f, /a/n, /x/y)", got)
+	}
+	if got := child.Release(); got != 0 {
+		t.Fatalf("a second Release gave back %d arrays", got)
+	}
+	if imageHash(child.img) != imgHash {
+		t.Fatal("the image changed after an overlay on it released")
+	}
+	if fs.StateHash() != parentHash || sibling.StateHash() != sibHash {
+		t.Fatal("the parent or a sibling overlay changed after an overlay released")
+	}
+	for _, w := range []*FS{fs, sibling} {
+		if got := mustLookup(t, w, "/a/f").Bytes(); !bytes.Equal(got, pattern(1, 3*4096)) {
+			t.Fatal("/a/f changed after an overlay released")
+		}
+		if got := mustLookup(t, w, "/a/g").Bytes(); !bytes.Equal(got, pattern(2, 100)) {
+			t.Fatal("/a/g changed after an overlay released")
+		}
+	}
 }

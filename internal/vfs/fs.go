@@ -52,13 +52,14 @@ type FS struct {
 	// Copy-on-reach overlay state (fork.go). layer is bumped by each
 	// freeze, which turns every inode made at an older layer into part of
 	// an image; changed records a mutation since the last freeze. ovMu
-	// guards img and drivers and serializes the making of clones; the
-	// walk reads clones without it.
+	// guards img, sparse and drivers and serializes the making of clones;
+	// the walk reads the dense clone index without it.
 	layer   atomic.Uint32
 	changed atomic.Bool
 	ovMu    sync.Mutex
 	img     *image                     // the image fs is an overlay on; nil until fs forks or is forked
 	clones  atomic.Pointer[cloneIndex] // image inode number → fs's clone of it
+	sparse  map[uint32]*Inode          // clones numbered past the dense index (fork.go)
 	drivers []binding                  // rdev → this filesystem's driver, for device clones
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"interpose/internal/journal"
+	"interpose/internal/mem"
 	"interpose/internal/sys"
 )
 
@@ -218,14 +219,16 @@ func (ip *Inode) unshareData() {
 
 // growLocked extends the file to end bytes, zero-filling from the old
 // length. An owned array grows in place within its capacity and
-// otherwise reallocates to at least twice its capacity, so a file built
-// by appends is copied O(log n) times and each of its bytes about once
-// in all (append's own step falls to 1.25× for large slices). A first
-// growth from empty allocates exactly end bytes: a file written whole
-// pays for no headroom. The spare capacity may hold stale bytes from a
-// truncate-down, which is why the new tail is cleared. An image's array
-// (cow) is never extended in place: every clone of the image shares its
-// spare capacity. Caller holds ip.mu exclusively.
+// otherwise moves to the allocator's class at or above twice its
+// capacity (mem.Alloc), so a file built by appends is copied O(log n)
+// times and each of its bytes about once in all; the array it leaves
+// goes back to the allocator. A first growth from empty takes a recycled
+// array of at least a page when one is free, and otherwise allocates
+// exactly end bytes: a file written whole pays for no headroom, and a
+// boot's files stay exact-size. The spare capacity may hold stale bytes
+// from a truncate-down, which is why the new tail is cleared. An image's
+// array (cow) is never extended in place, nor given back: every clone of
+// the image shares it. Caller holds ip.mu exclusively.
 func (ip *Inode) growLocked(end int64) {
 	old := len(ip.data)
 	if !ip.cow && int(end) <= cap(ip.data) {
@@ -233,14 +236,32 @@ func (ip *Inode) growLocked(end int64) {
 		clear(ip.data[old:])
 		return
 	}
-	c := int(end)
-	if !ip.cow {
-		c = max(c, 2*cap(ip.data))
+	var nd []byte
+	switch {
+	case old == 0:
+		if end >= mem.MinClass {
+			nd = mem.Recycled(int(end))
+		}
+		if nd == nil {
+			nd = make([]byte, end)
+		}
+	case ip.cow:
+		nd = mem.Alloc(int(end), 0)
+	default:
+		nd = mem.Alloc(int(end), 2*cap(ip.data))
 	}
-	nd := make([]byte, end, c)
 	copy(nd, ip.data)
+	ip.putLocked()
 	ip.data = nd
-	ip.cow = false
+}
+
+// putLocked gives an owned array back to the allocator and leaves the
+// file empty, reporting whether the array went back; an image's array
+// (cow) is only dropped. Caller holds ip.mu exclusively.
+func (ip *Inode) putLocked() bool {
+	put := !ip.cow && mem.Free(ip.data)
+	ip.data, ip.cow = nil, false
+	return put
 }
 
 // writeLocked copies p into the file data at off, growing it as needed.
@@ -255,11 +276,14 @@ func (ip *Inode) writeLocked(p []byte, off int64) {
 	copy(ip.data[off:], p)
 }
 
-// truncateLocked sets the file length. Shrink is a reslice: the array's
-// bytes are untouched, so an image's array stays shared (cow) after a
-// truncate-down. Caller holds ip.mu exclusively.
+// truncateLocked sets the file length. A truncate to zero gives an owned
+// array back to the allocator; any other shrink is a reslice: the
+// array's bytes are untouched, so an image's array stays shared (cow)
+// after a truncate-down. Caller holds ip.mu exclusively.
 func (ip *Inode) truncateLocked(length int64) {
-	if length < int64(len(ip.data)) {
+	if length == 0 {
+		ip.putLocked()
+	} else if length < int64(len(ip.data)) {
 		ip.data = ip.data[:length]
 	} else if length > int64(len(ip.data)) {
 		ip.growLocked(length)

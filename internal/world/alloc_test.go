@@ -13,8 +13,10 @@ import (
 // execAllocBudget bounds the bytes one `true` session allocates once the
 // world is warm. Without page and stdio-buffer recycling a session
 // allocated about 12 KB (a fresh page per touch, a fresh 4 KB stdout
-// buffer per process); with it, about 4 KB.
-const execAllocBudget = 8 << 10
+// buffer per process); with it, about 3.9 KB. Drawing pages from the
+// shared buffer allocator and growing the descriptor table on demand
+// (it started at 64 slots) brought it to about 2.9 KB.
+const execAllocBudget = 4 << 10
 
 // TestExecAllocBudget pins that a session's process memory is recycled:
 // bytes allocated per world.Exec of `true` stay under execAllocBudget.
@@ -53,8 +55,10 @@ func TestExecAllocBudget(t *testing.T) {
 // bytes) around; and the close. Storing each journal byte once, reading
 // a whole file into one exact-size array and growing a file by doubling
 // brought the cycle from about 427 KB to about 280 KB; recycling journal
-// group buffers across worlds, to about 265 KB.
-const churnAllocBudget = 320 << 10
+// group buffers across worlds, to about 265 KB. Drawing file data and
+// journal chunks from the shared buffer allocator and giving them back
+// at Close, to about 142 KB.
+const churnAllocBudget = 192 << 10
 
 // churnScript is perfbench's tenant-churn session.
 const churnScript = "mkdir /w; cd /w; cp /doc/chapter01.mss a; cp a b; cat a b > c; mv c d; wc d; rm a"

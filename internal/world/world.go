@@ -204,6 +204,8 @@ type World struct {
 	stack  []core.Agent
 	insts  []*agents.Instance
 	closed bool
+	// released counts the buffers Close gave back to the allocator.
+	released int
 
 	// Applied, Skipped, and Torn report journal recovery at boot: how
 	// many records rolled forward, how many the world it was forked from
@@ -656,10 +658,15 @@ func (w *World) Checkpoint(wr io.Writer) error {
 // Close tears the world down completely: every guest process is killed
 // and reaped (no goroutines survive), the journal's pending group is
 // committed (unless the world crashed — a frozen store keeps exactly
-// its durable prefix) and its host file closed, and every attached
+// its durable prefix) and its host file closed, every attached
 // facility is detached so the kernel, registries, and rings are
-// garbage. Close is idempotent; the first error (a failed journal
-// flush) is returned but teardown always completes.
+// garbage, and the bytes the world owned go back to the shared buffer
+// allocator (mem): its filesystem's file arrays (vfs.FS.Release) and an
+// in-memory journal's chunks (journal.MemStore.Release). The world's
+// filesystem and journal must not be read after Close: both read as
+// empty. Arrays shared with forks of the world belong to a frozen image
+// and stay with them. Close is idempotent; the first error (a failed
+// journal flush) is returned but teardown always completes.
 func (w *World) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -688,5 +695,9 @@ func (w *World) Close() error {
 	w.k.SetTelemetry(nil)
 	w.k.Console().Mirror(nil)
 	w.stack, w.insts = nil, nil
+	w.released = w.k.FS().Release()
+	if st, ok := w.jstore.(*journal.MemStore); ok {
+		w.released += st.Release()
+	}
 	return firstErr
 }
