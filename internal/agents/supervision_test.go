@@ -44,13 +44,7 @@ func runSoak(t *testing.T, seed int, plan string, cfg kernel.SupervisorConfig) s
 
 	layer := kernel.NewEmuLayer(fa)
 	layer.Name = "faulty"
-	nums, all := fa.InterestedSyscalls()
-	if all {
-		layer.RegisterAll()
-	}
-	for _, n := range nums {
-		layer.Register(n)
-	}
+	layer.Interest = fa.Interests()
 
 	var res soakResult
 	var out strings.Builder

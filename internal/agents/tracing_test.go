@@ -171,7 +171,7 @@ func TestSuperviseStateGaugeFromGuest(t *testing.T) {
 			panic("tracing_test: injected agent bug")
 		}))
 	panicky.Name = "buggy"
-	panicky.Register(sys.SYS_getpagesize)
+	panicky.RegisterInterest(sys.SYS_getpagesize)
 
 	p := k.NewProc()
 	if err := p.OpenConsole(); err != nil {

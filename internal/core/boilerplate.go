@@ -10,17 +10,15 @@ import (
 )
 
 // Agent is a complete, installable interposition agent: an instance of the
-// system interface (sys.Handler) that also enumerates the system calls and
+// system interface (sys.Handler) that also reports the system calls and
 // signals it wants intercepted. Concrete agents embed one of the toolkit
 // layer bases (Numeric, Symbolic, DescriptorSet, PathnameSet), which
 // provide the bookkeeping half of this interface.
 type Agent interface {
 	sys.Handler
-	// InterestedSyscalls reports the registered system call numbers, or
-	// all=true for blanket interest.
-	InterestedSyscalls() (nums []int, all bool)
-	// InterestedSignals reports the registered signal mask, or all=true.
-	InterestedSignals() (mask uint32, all bool)
+	// Interests returns a copy of the agent's registered interest set:
+	// the one Install hands to the kernel's emulation layer.
+	Interests() sys.Interest
 }
 
 // Downer is the downcall capability of an agent's call context: invoking
@@ -159,29 +157,12 @@ func DownWrite(c sys.Ctx, fd int, b []byte) sys.Errno {
 // layers and the kernel, and its registered signals after them. The layer
 // is inherited by the process's future children. The returned layer
 // handle can be passed to kernel.Proc.RemoveEmulation (or the agent
-// itself to Uninstall) to detach it again.
+// itself to Uninstall) to detach it again. The layer gets a copy of the
+// agent's interest set, so interest the agent registers afterwards does
+// not reach this process.
 func Install(p *kernel.Proc, a Agent) *kernel.EmuLayer {
-	layer := kernel.NewEmuLayer(a)
-	layer.Name = agentName(a)
-	nums, all := a.InterestedSyscalls()
-	if all {
-		layer.RegisterAll()
-	}
-	for _, n := range nums {
-		layer.Register(n)
-	}
-	if si, ok := a.(sys.SignalInterposer); ok {
-		layer.Signals = si
-		mask, sall := a.InterestedSignals()
-		if sall {
-			layer.RegisterAllSignals()
-		}
-		for s := 1; s < sys.NSIG; s++ {
-			if mask&sys.SigMask(s) != 0 {
-				layer.RegisterSignal(s)
-			}
-		}
-	}
+	layer := &kernel.EmuLayer{Handler: a, Name: agentName(a), Interest: a.Interests()}
+	layer.Signals, _ = a.(sys.SignalInterposer)
 	p.PushEmulation(layer)
 	return layer
 }
@@ -219,16 +200,18 @@ func agentName(a Agent) string {
 // descriptors are on the console, installs the given agents bottom-up
 // (the first agent listed is closest to the kernel), and starts the
 // program image at path. This is the toolkit analog of the paper's agent
-// loader program.
+// loader program. On error no process is left in the table.
 func Launch(k *kernel.Kernel, agents []Agent, path string, argv, envp []string) (*kernel.Proc, error) {
 	p := k.NewProc()
 	if err := p.OpenConsole(); err != nil {
+		k.Discard(p)
 		return nil, fmt.Errorf("core: launch: console: %w", err)
 	}
 	for _, a := range agents {
 		Install(p, a)
 	}
 	if err := p.Start(path, argv, envp); err != nil {
+		k.Discard(p)
 		return nil, fmt.Errorf("core: launch: %w", err)
 	}
 	return p, nil

@@ -169,6 +169,21 @@ func TestStackedAgents(t *testing.T) {
 }
 
 // parse and parseAfter are tiny scanners for test output.
+// TestLaunchFailureReapsProc: a launch whose image cannot start retires
+// the process it published, so repeated failures leave the table empty.
+func TestLaunchFailureReapsProc(t *testing.T) {
+	k := world(t)
+	for i := 0; i < 10; i++ {
+		agents := []core.Agent{nullagent.New()}
+		if _, err := core.Launch(k, agents, "/bin/no-such", []string{"no-such"}, nil); err == nil {
+			t.Fatal("launch of a missing image succeeded")
+		}
+	}
+	if n := k.ProcCount(); n != 0 {
+		t.Fatalf("%d procs left after failed launches", n)
+	}
+}
+
 func parse(s, format string, out *int64) (int, error) {
 	idx := strings.Index(format, "%d")
 	prefix := format[:idx]

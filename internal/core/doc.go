@@ -15,7 +15,11 @@
 //   - Numeric system call layer (Numeric): the system interface as a
 //     single entry point accepting vectors of untyped numeric arguments,
 //     with per-number interest registration. Interception is pay-per-use:
-//     numbers without registered interest bypass the agent entirely.
+//     numbers without registered interest bypass the agent entirely. The
+//     registrations fill a sys.Interest that Numeric embeds; Install
+//     copies that set into the kernel's emulation layer, whose dispatch
+//     plan is compiled from it, so one set carries interest from the
+//     agent to the kernel.
 //
 //   - Symbolic system call layer (Symbolic): one typed method per system
 //     call; the toolkit decodes each intercepted call's arguments and

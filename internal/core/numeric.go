@@ -7,60 +7,18 @@ import "interpose/internal/sys"
 // point accepting vectors of untyped numeric arguments, with per-number
 // interest registration.
 //
-// An agent embeds Numeric, registers the numbers it wants, and overrides
+// An agent embeds Numeric, registers the numbers it wants through the
+// embedded sys.Interest (RegisterInterest, RegisterInterestRange,
+// RegisterAll, RegisterSignal, RegisterAllSignals), and overrides
 // Syscall (the whole entry point). The default Syscall takes the default
 // action: it passes the call to the next-lower instance of the system
 // interface unchanged.
 type Numeric struct {
-	nums    [sys.MaxSyscall]bool
-	numsAll bool
-	sigs    uint32
-	sigsAll bool
+	sys.Interest
 }
 
-// RegisterInterest registers interest in one system call number.
-func (n *Numeric) RegisterInterest(num int) {
-	if num >= 0 && num < sys.MaxSyscall {
-		n.nums[num] = true
-	}
-}
-
-// RegisterInterestRange registers interest in the numbers [low, high].
-func (n *Numeric) RegisterInterestRange(low, high int) {
-	for i := low; i <= high; i++ {
-		n.RegisterInterest(i)
-	}
-}
-
-// RegisterAll registers interest in every system call number.
-func (n *Numeric) RegisterAll() { n.numsAll = true }
-
-// RegisterSignal registers interest in one incoming signal.
-func (n *Numeric) RegisterSignal(sig int) {
-	if sig > 0 && sig < sys.NSIG {
-		n.sigs |= sys.SigMask(sig)
-	}
-}
-
-// RegisterAllSignals registers interest in every incoming signal.
-func (n *Numeric) RegisterAllSignals() { n.sigsAll = true }
-
-// InterestedSyscalls implements Agent.
-func (n *Numeric) InterestedSyscalls() ([]int, bool) {
-	if n.numsAll {
-		return nil, true
-	}
-	var out []int
-	for i, b := range n.nums {
-		if b {
-			out = append(out, i)
-		}
-	}
-	return out, false
-}
-
-// InterestedSignals implements Agent.
-func (n *Numeric) InterestedSignals() (uint32, bool) { return n.sigs, n.sigsAll }
+// Interests implements Agent.
+func (n *Numeric) Interests() sys.Interest { return n.Interest }
 
 // Syscall implements sys.Handler with the default action: pass the call
 // down unchanged.

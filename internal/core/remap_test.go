@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 
 	"interpose/internal/core"
@@ -52,11 +53,40 @@ func TestNumericRangeRemap(t *testing.T) {
 func TestInterestRangeBounds(t *testing.T) {
 	a := &rangeRemapper{}
 	a.RegisterInterestRange(-5, 3)
-	nums, all := a.InterestedSyscalls()
-	if all {
+	a.RegisterInterestRange(sys.MaxSyscall-2, sys.MaxSyscall+5)
+	set := a.Interests()
+	if set.WantsAll() {
 		t.Fatal("range registration set blanket interest")
 	}
-	if len(nums) != 4 || nums[0] != 0 || nums[3] != 3 {
-		t.Fatalf("nums = %v", nums)
+	var nums []int
+	for n := -10; n < sys.MaxSyscall+10; n++ {
+		if set.Wants(n) {
+			nums = append(nums, n)
+		}
+	}
+	want := []int{0, 1, 2, 3, sys.MaxSyscall - 2, sys.MaxSyscall - 1}
+	if fmt.Sprint(nums) != fmt.Sprint(want) {
+		t.Fatalf("nums = %v, want %v", nums, want)
+	}
+}
+
+// TestInstallCopiesInterest: Install hands the layer a copy of the
+// agent's interest set, so a number registered afterwards does not reach
+// the installed process's dispatch plan (but does reach a later install).
+func TestInstallCopiesInterest(t *testing.T) {
+	_, p := hostProc(t)
+	a := &rangeRemapper{}
+	a.RegisterInterest(sys.SYS_getpid)
+	core.Install(p, a)
+	a.RegisterInterest(sys.SYS_getuid)
+	if p.InterestMask(sys.SYS_getpid) != 1 {
+		t.Fatalf("getpid mask = %#x, want 1", p.InterestMask(sys.SYS_getpid))
+	}
+	if m := p.InterestMask(sys.SYS_getuid); m != 0 {
+		t.Fatalf("getuid registered after Install reached the plan: mask %#x", m)
+	}
+	core.Install(p, a)
+	if m := p.InterestMask(sys.SYS_getuid); m != 2 {
+		t.Fatalf("second install: getuid mask = %#x, want 2", m)
 	}
 }

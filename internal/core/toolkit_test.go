@@ -33,7 +33,7 @@ func TestDownBypassesOwnLayer(t *testing.T) {
 		return rv, err
 	})
 	layer := kernel.NewEmuLayer(rewriter)
-	layer.Register(sys.SYS_getpid)
+	layer.RegisterInterest(sys.SYS_getpid)
 	p.PushEmulation(layer)
 
 	rv, err := p.Syscall(sys.SYS_getpid, sys.Args{})
@@ -55,7 +55,7 @@ func TestPayPerUseSkipsLayer(t *testing.T) {
 		return core.Down(c, num, a)
 	})
 	layer := kernel.NewEmuLayer(spy)
-	layer.Register(sys.SYS_getuid)
+	layer.RegisterInterest(sys.SYS_getuid)
 	p.PushEmulation(layer)
 
 	p.Syscall(sys.SYS_getpid, sys.Args{}) // not registered
@@ -94,7 +94,7 @@ func TestStagingMarkRelease(t *testing.T) {
 		return core.Down(c, num, a)
 	})
 	layer := kernel.NewEmuLayer(grab)
-	layer.Register(sys.SYS_getpid)
+	layer.RegisterInterest(sys.SYS_getpid)
 	p.PushEmulation(layer)
 	p.Syscall(sys.SYS_getpid, sys.Args{})
 	if inside == nil {
@@ -117,7 +117,7 @@ func TestStagingResetsPerSyscall(t *testing.T) {
 		return core.Down(c, num, a)
 	})
 	layer := kernel.NewEmuLayer(grab)
-	layer.Register(sys.SYS_getpid)
+	layer.RegisterInterest(sys.SYS_getpid)
 	p.PushEmulation(layer)
 	p.Syscall(sys.SYS_getpid, sys.Args{})
 	p.Syscall(sys.SYS_getpid, sys.Args{})
@@ -323,7 +323,7 @@ func TestDownWrite(t *testing.T) {
 		return core.Down(c, num, a)
 	})
 	layer := kernel.NewEmuLayer(writer)
-	layer.Register(sys.SYS_getpid)
+	layer.RegisterInterest(sys.SYS_getpid)
 	p.PushEmulation(layer)
 	p.Syscall(sys.SYS_getpid, sys.Args{})
 	if got := k.Console().TakeOutput(); got != "from the agent\n" {

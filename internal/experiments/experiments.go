@@ -11,10 +11,7 @@ import (
 	"fmt"
 	"time"
 
-	"interpose/internal/agents/nullagent"
-	"interpose/internal/agents/timex"
-	"interpose/internal/agents/trace"
-	"interpose/internal/agents/union"
+	"interpose/internal/agents"
 	"interpose/internal/apps"
 	"interpose/internal/core"
 	"interpose/internal/kernel"
@@ -42,33 +39,32 @@ func World() (*kernel.Kernel, error) {
 	return w.Kernel(), nil
 }
 
+// paperStacks names each of the paper's agent configurations by its
+// agents-catalog spec, the same spec a world or agentrun is given.
+var paperStacks = map[string]string{
+	"timex": "timex=3600",
+	"trace": "trace",
+	// The union view used by the workloads: it interposes on the vast
+	// majority of system calls and uses the additional toolkit layers.
+	"union": "union=/view=/doc:/src",
+	"null":  "null",
+}
+
 // AgentStack builds one of the paper's agent configurations by name:
 // "none", "timex", "trace", "union", or "null" (the measurement agent).
-// The returned io discard flag indicates trace output should be swallowed.
 func AgentStack(k *kernel.Kernel, name string) ([]core.Agent, error) {
-	switch name {
-	case "none":
+	if name == "none" {
 		return nil, nil
-	case "timex":
-		a, err := timex.New("3600")
-		if err != nil {
-			return nil, err
-		}
-		return []core.Agent{a}, nil
-	case "trace":
-		return []core.Agent{trace.New()}, nil
-	case "union":
-		// The union view used by the workloads: it interposes on the vast
-		// majority of system calls and uses the additional toolkit layers.
-		a, err := union.New("/view=/doc:/src")
-		if err != nil {
-			return nil, err
-		}
-		return []core.Agent{a}, nil
-	case "null", "time_symbolic":
-		return []core.Agent{nullagent.New()}, nil
 	}
-	return nil, fmt.Errorf("experiments: unknown agent stack %q", name)
+	spec, ok := paperStacks[name]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown agent stack %q", name)
+	}
+	inst, err := agents.New(spec)
+	if err != nil {
+		return nil, err
+	}
+	return []core.Agent{inst.Agent}, nil
 }
 
 // runChecked runs a program to completion, failing on nonzero exit.

@@ -128,7 +128,7 @@ func runTable34(w io.Writer, _, _ int) ([]BenchEntry, error) {
 	var c caller = &callee{v: 1}
 	p := measureProc(k)
 	layer := kernel.NewEmuLayer(interceptOnly{})
-	layer.Register(sys.SYS_getpagesize)
+	layer.RegisterInterest(sys.SYS_getpagesize)
 	p.PushEmulation(layer)
 	es := []BenchEntry{
 		entry("procedure-call", Measure(func() { sink = plainCall(sink) })),

@@ -83,9 +83,10 @@ func corePath(names ...string) []string {
 }
 
 // SymbolicLevelFiles are the symbolic system call layer and everything
-// below it.
+// below it, including the interest set the numeric layer embeds.
 func SymbolicLevelFiles() []string {
-	return corePath("doc.go", "boilerplate.go", "numeric.go", "symbolic.go", "defaults.go", "exec.go")
+	files := corePath("doc.go", "boilerplate.go", "numeric.go", "symbolic.go", "defaults.go", "exec.go")
+	return append(files, filepath.Join(repoRoot(), "internal", "sys", "interest.go"))
 }
 
 // ObjectLevelFiles are the additional descriptor, open object, pathname

@@ -79,8 +79,3 @@ func (c *execCache) parse(ip *vfs.Inode) *execParse {
 	c.m.Store(ip, ep)
 	return ep
 }
-
-// ExecCacheStats reports exec image cache hits and misses.
-func (k *Kernel) ExecCacheStats() (hits, misses uint64) {
-	return k.exec.hits.Load(), k.exec.misses.Load()
-}

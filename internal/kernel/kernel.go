@@ -161,9 +161,6 @@ func atomicLoadOffset(d *time.Duration) time.Duration { return time.Duration(loa
 // FS returns the kernel's filesystem, for test setup and world building.
 func (k *Kernel) FS() *vfs.FS { return k.fs }
 
-// Images returns the kernel's program image registry.
-func (k *Kernel) Images() *image.Registry { return k.images }
-
 // Console returns the system console device buffers.
 func (k *Kernel) Console() *Console { return k.console }
 

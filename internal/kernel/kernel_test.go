@@ -827,7 +827,7 @@ func TestShutdownRacesStart(t *testing.T) {
 
 // TestDiscardReapsUnstartedProc: a published process whose launch fails
 // must be removable without Shutdown, and Discard must leave the table
-// empty.
+// empty. Spawn retires its own failed launches the same way.
 func TestDiscardReapsUnstartedProc(t *testing.T) {
 	reg := image.NewRegistry()
 	k := kernel.New(reg)
@@ -838,5 +838,13 @@ func TestDiscardReapsUnstartedProc(t *testing.T) {
 	k.Discard(p)
 	if n := k.ProcCount(); n != 0 {
 		t.Fatalf("%d procs after discard", n)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := k.Spawn("/bin/definitely-missing", []string{"x"}, nil); err == nil {
+			t.Fatal("spawn of missing image succeeded")
+		}
+	}
+	if n := k.ProcCount(); n != 0 {
+		t.Fatalf("%d procs after failed spawns", n)
 	}
 }

@@ -81,7 +81,7 @@ func compilePlan(p *Proc, layers []*EmuLayer) *dispatchPlan {
 			continue
 		}
 		bit := uint32(1) << uint(i)
-		if l.interestAll {
+		if l.WantsAll() {
 			pl.allMask |= bit
 		}
 		for num := 0; num < sys.MaxSyscall; num++ {

@@ -19,7 +19,7 @@ func TestPlanInterceptsExecve(t *testing.T) {
 		t.Error("bare process: plan intercepts execve")
 	}
 	clock := NewEmuLayer(h)
-	clock.Register(sys.SYS_gettimeofday)
+	clock.RegisterInterest(sys.SYS_gettimeofday)
 	p.PushEmulation(clock)
 	if p.plan.Load().intercepts(sys.SYS_execve) {
 		t.Error("gettimeofday-only layer: plan intercepts execve")

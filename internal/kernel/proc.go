@@ -177,8 +177,10 @@ func (p *Proc) loadState() procState { return p.state.Load() }
 func (p *Proc) setStateLocked(s procState) { p.state.Store(s) }
 
 // EmuLayer is one installed interposition layer: a handler, the set of
-// system call numbers it has registered interest in, and optionally a
-// signal interposer.
+// system calls and signals it has registered interest in, and optionally
+// a signal interposer. Interest is registered through the embedded set
+// (RegisterInterest, RegisterAll, ...) before the layer is pushed; the
+// dispatch plan compiled at push time reads it.
 type EmuLayer struct {
 	Handler sys.Handler
 	Signals sys.SignalInterposer
@@ -187,54 +189,16 @@ type EmuLayer struct {
 	// empty names get a positional label.
 	Name string
 
-	interest    [sys.MaxSyscall]bool
-	interestAll bool
-	sigInterest uint32
-	sigAll      bool
+	sys.Interest
 }
 
 // NewEmuLayer wraps a handler as an emulation layer with no interests
 // registered yet.
 func NewEmuLayer(h sys.Handler) *EmuLayer { return &EmuLayer{Handler: h} }
 
-// Register adds interest in a system call number.
-func (l *EmuLayer) Register(num int) {
-	if num >= 0 && num < sys.MaxSyscall {
-		l.interest[num] = true
-	}
-}
-
-// RegisterRange adds interest in the numbers [low, high].
-func (l *EmuLayer) RegisterRange(low, high int) {
-	for n := low; n <= high; n++ {
-		l.Register(n)
-	}
-}
-
-// RegisterAll adds interest in every system call number.
-func (l *EmuLayer) RegisterAll() { l.interestAll = true }
-
-// RegisterSignal adds interest in a signal (for the upward path).
-func (l *EmuLayer) RegisterSignal(sig int) {
-	if sig > 0 && sig < sys.NSIG {
-		l.sigInterest |= sys.SigMask(sig)
-	}
-}
-
-// RegisterAllSignals adds interest in every signal.
-func (l *EmuLayer) RegisterAllSignals() { l.sigAll = true }
-
-// Wants reports whether the layer intercepts call number num.
-func (l *EmuLayer) Wants(num int) bool {
-	return l.interestAll || (num >= 0 && num < sys.MaxSyscall && l.interest[num])
-}
-
 // WantsSignal reports whether the layer interposes on signal sig.
 func (l *EmuLayer) WantsSignal(sig int) bool {
-	if l.Signals == nil {
-		return false
-	}
-	return l.sigAll || l.sigInterest&sys.SigMask(sig) != 0
+	return l.Signals != nil && l.Interest.WantsSignal(sig)
 }
 
 // ChildIniter is implemented by emulation-layer handlers that need a hook
@@ -309,13 +273,6 @@ func (p *Proc) PPID() int {
 	p.k.pmu.Lock()
 	defer p.k.pmu.Unlock()
 	return p.ppid
-}
-
-// Comm returns the program name set by the last exec.
-func (p *Proc) Comm() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.comm
 }
 
 // CopyIn implements sys.Ctx against the process's address space.
@@ -457,13 +414,6 @@ type LayerCtx struct {
 // call that would otherwise be intercepted by itself.
 func (lc LayerCtx) Down(num int, a sys.Args) (sys.Retval, sys.Errno) {
 	return lc.Proc.dispatch(lc.plan, lc.layer, num, a)
-}
-
-// DownSignal continues signal interposition above this layer, returning the
-// possibly-rewritten signal (0 if suppressed). Exposed for completeness;
-// the common path is simply returning the signal from the interposer.
-func (lc LayerCtx) DownSignal(sig, code int) int {
-	return lc.Proc.signalUpFrom(lc.layer+1, sig, code)
 }
 
 // Syscall implements image.Proc: a system call from user mode. It enters
@@ -795,19 +745,6 @@ func (p *Proc) Start(path string, argv, envp []string) error {
 	}
 	p.started.Store(true)
 	go p.run(entry)
-	return nil
-}
-
-// StartEntry starts the process at an arbitrary entry point without an
-// image file, for tests and embedded use.
-func (p *Proc) StartEntry(e image.Entry, argv, envp []string) error {
-	sp, errno := image.SetupStack(p, argv, envp)
-	if errno != sys.OK {
-		return fmt.Errorf("start entry: %w", errno)
-	}
-	p.SetInitialSP(sp)
-	p.started.Store(true)
-	go p.run(e)
 	return nil
 }
 

@@ -190,7 +190,7 @@ func (p *Proc) checkSignalsSlow() {
 		// Upward interposition path: kernel → layers (bottom first) → app.
 		// An interposer may rewrite the signal, so the application's
 		// disposition is looked up for the signal that actually arrives.
-		if s2 := p.signalUpFrom(0, sig, 0); s2 > 0 && s2 < sys.NSIG {
+		if s2 := p.signalUp(sig); s2 > 0 && s2 < sys.NSIG {
 			p.sigMu.Lock()
 			sv := p.sigHandlers[s2]
 			p.sigMu.Unlock()
@@ -199,14 +199,14 @@ func (p *Proc) checkSignalsSlow() {
 	}
 }
 
-// signalUpFrom runs the signal through emulation layers starting at index
-// from (bottom=0), returning the possibly rewritten signal, 0 if consumed.
-func (p *Proc) signalUpFrom(from, sig, code int) int {
+// signalUp runs the signal through the emulation layers, bottom first,
+// returning the possibly rewritten signal, 0 if consumed.
+func (p *Proc) signalUp(sig int) int {
 	pl := p.plan.Load()
-	for i := from; i < len(pl.layers) && sig != 0; i++ {
+	for i := 0; i < len(pl.layers) && sig != 0; i++ {
 		l := pl.layers[i]
 		if l.WantsSignal(sig) {
-			sig = l.Signals.Signal(pl.ctxs[i], sig, code)
+			sig = l.Signals.Signal(pl.ctxs[i], sig, 0)
 		}
 	}
 	return sig

@@ -31,7 +31,7 @@ func superviseWorld(t *testing.T, name string, h sys.HandlerFunc) (*kernel.Kerne
 	p := k.NewProc()
 	l := kernel.NewEmuLayer(h)
 	l.Name = name
-	l.Register(sys.SYS_getpid)
+	l.RegisterInterest(sys.SYS_getpid)
 	p.PushEmulation(l)
 	return k, p, l
 }

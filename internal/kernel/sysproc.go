@@ -462,13 +462,15 @@ func (p *Proc) Chdir(path string) error {
 
 // Spawn creates a process running the image at path with the given
 // arguments, its standard descriptors on the console. The returned process
-// has already started.
+// has already started; on error no process is left in the table.
 func (k *Kernel) Spawn(path string, argv, envp []string) (*Proc, error) {
 	p := k.NewProc()
 	if err := p.OpenConsole(); err != nil {
+		k.Discard(p)
 		return nil, err
 	}
 	if err := p.Start(path, argv, envp); err != nil {
+		k.Discard(p)
 		return nil, err
 	}
 	return p, nil
@@ -549,12 +551,4 @@ func (k *Kernel) ProcCount() int {
 	k.pmu.Lock()
 	defer k.pmu.Unlock()
 	return len(k.procs)
-}
-
-// FindProc returns the process with the given pid, if it is live.
-func (k *Kernel) FindProc(pid int) (*Proc, bool) {
-	k.pmu.Lock()
-	defer k.pmu.Unlock()
-	p, ok := k.procs[pid]
-	return p, ok
 }
